@@ -249,7 +249,11 @@ def cmd_collect(args: argparse.Namespace) -> int:
                 check=True, capture_output=True,
             )
             with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tf:
-                tf.extractall(version_dir)
+                try:
+                    tf.extractall(version_dir, filter="data")
+                except tarfile.FilterError as exc:
+                    print(f"error: tag {tag}: refusing archive entry: {exc}", file=sys.stderr)
+                    return 1
             meta_lines.append(f"{safe}\t{date}")
         (oss_dir / "meta.tsv").write_text(
             "\n".join(meta_lines) + "\n", encoding="utf-8", newline="\n"

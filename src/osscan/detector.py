@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .extractor import RawFunction, extract_from_source, extract_functions
 from .fingerprint import (
@@ -91,7 +91,10 @@ class VersionVote:
 class ScoredComponent:
     sig: OssSignature
     phi: Fraction
-    matched: dict[FuncHash, tuple[FuncHash, int]]  # entry hash -> (target hash, distance)
+    matched: dict[FuncHash, tuple[FuncHash, int]]  # scored entry -> (target hash, distance)
+    # every DB entry with a target match -> (target hash, distance), from the one
+    # scan of the target; shared by all components
+    pairing: Mapping[FuncHash, tuple[FuncHash, int]]
 
 
 def _collapse(pairs: Iterable[tuple[str, FuncHash]]) -> dict[FuncHash, frozenset[str]]:
@@ -134,12 +137,12 @@ def score_components(
 ) -> list[ScoredComponent]:
     """Phi score of every scorable signature against the target.
 
-    `use_segmentation=False` scores against full entry sets instead of
-    application code; it exists for ablation tests and the theta sweep,
-    not for production use.
+    One scan pairs every distinct entry of the DB with the target; each
+    signature's phi is read from that pairing.  `use_segmentation=False`
+    scores against full entry sets instead of application code; it exists
+    for ablation tests and the theta sweep, not for production use.
     """
-    target_index = HashIndex(t.functions.keys())
-    scored = []
+    pools = []
     for sig in db.sorted_signatures():
         if use_segmentation:
             if not sig.segmented:
@@ -152,9 +155,16 @@ def score_components(
         if not pool:
             logger.warning("skipping %s: empty application-code set", sig.oss_id)
             continue
-        matched = match_hashes(pool, target_index, cutoff)
+        pools.append((sig, pool))
+    entries = (h for sig in db.signatures.values() for h in sig.entries)
+    pairing = match_hashes(entries, HashIndex(t.functions), cutoff)
+    scored = []
+    for sig, pool in pools:
+        matched = {h: hit for h, hit in pairing.items() if h in pool}
         scored.append(
-            ScoredComponent(sig=sig, phi=Fraction(len(matched), len(pool)), matched=matched)
+            ScoredComponent(
+                sig=sig, phi=Fraction(len(matched), len(pool)), matched=matched, pairing=pairing
+            )
         )
     return scored
 
@@ -235,30 +245,25 @@ def analyze_reuse_pattern(
     t: TargetFingerprint,
     sig: OssSignature,
     version_id: str,
-    matches: dict[FuncHash, tuple[FuncHash, int]],
-    cfg: DetectorConfig,
-    target_index: HashIndex | None = None,
+    pairing: Mapping[FuncHash, tuple[FuncHash, int]],
 ) -> PatternAnalysis:
     """Counts and pattern flags over the identified version's functions.
 
-    All entries belonging to the version are re-paired against the target
-    (the component-level `matches` covered application code only), so the
-    unused tally is exact for that version.  A matched function counts as
-    relocated only when none of its original paths suffix-matches any of
-    its target paths.
+    `pairing` maps entry hashes to their target match.  It covers every
+    entry of the signature, not only the application code that phi was
+    scored on, so the unused tally is exact for that version.  A matched
+    function counts as relocated only when none of its original paths
+    suffix-matches any of its target paths.
     """
     ordinal = sig.version_by_id(version_id).ordinal
     version_entries = [e for e in sig.entries.values() if ordinal in e.versions]
-    if target_index is None:
-        target_index = HashIndex(t.functions.keys())
-    paired = match_hashes((e.hash for e in version_entries), target_index, cfg.cutoff)
 
     identical = 0
     modified = 0
     structure_changed = False
     evidence: list[MatchEvidence] = []
     for entry in sorted(version_entries, key=lambda e: e.hash.digest):
-        hit = paired.get(entry.hash)
+        hit = pairing.get(entry.hash)
         if hit is None:
             continue
         target_hash, dist = hit
@@ -304,16 +309,13 @@ def identify_components(
     """All components whose application code is reused at ratio >= theta,
     sorted by score descending (ties by oss id)."""
     cfg = cfg or DetectorConfig()
-    target_index = HashIndex(t.functions.keys())
     reports = []
     for scored in score_components(t, db, cfg.cutoff, use_segmentation):
         if scored.phi < cfg.theta:
             continue
         matched_entries = [scored.sig.entries[h] for h in scored.matched]
         vote = identify_version(matched_entries, scored.sig)
-        analysis = analyze_reuse_pattern(
-            t, scored.sig, vote.version_id, scored.matched, cfg, target_index
-        )
+        analysis = analyze_reuse_pattern(t, scored.sig, vote.version_id, scored.pairing)
         reports.append(
             ComponentReport(
                 oss_id=scored.sig.oss_id,

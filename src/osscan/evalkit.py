@@ -246,7 +246,7 @@ def mutate_body(rng: random.Random, body: bytes, cutoff: int) -> bytes | None:
     if base_hash.scheme is not fingerprint.HashScheme.LSH:
         return None
     candidates: list[bytes] = []
-    idents = sorted(set(_IDENT_RE.findall(body)), key=lambda s: (body.count(s), len(s)))
+    idents = sorted(set(_IDENT_RE.findall(body)), key=lambda s: (body.count(s), len(s), s))
     for old in idents[:3]:
         new = _same_length_ident(rng, len(old))
         if new != old and new not in body:

@@ -126,95 +126,114 @@ def hash_raw_functions(functions: Iterable[RawFunction]) -> list[tuple[str, Func
     return out
 
 
-# Above this many indexed hashes, similarity scans are restricted to
-# entries sharing the query's quartile-header byte instead of a full scan.
-DEFAULT_BUCKET_THRESHOLD = 100_000
-
-_SCAN_CHUNK = 512
+# Rows per side of one distance block: 128 x 128 cells, with (128, 544)
+# float32 operands of 278 KiB per side.
+_BLOCK = 128
 
 
 class HashIndex:
-    """Digest lookup plus batched similarity scans over a hash set.
+    """A packed table of hash rows, each carrying an owner id (for example
+    the component it came from), for `best_matches`.
 
-    Exact matches use a token dict.  Similarity candidates come from a
-    vectorised distance scan over all LSH digests; for very large indexes
-    the scan is limited to the bucket of hashes sharing the query's
-    quartile-header byte, trading a little recall for speed.
+    A (owner, hash) pair is stored once and rows are sorted by digest, so
+    among the rows of one owner a smaller row number is a smaller digest.
     """
 
     def __init__(
-        self,
-        hashes: Iterable[FuncHash],
-        bucket_threshold: int = DEFAULT_BUCKET_THRESHOLD,
+        self, hashes: Iterable[FuncHash], owners: Iterable[int] | None = None
     ) -> None:
-        self._by_token: dict[str, FuncHash] = {}
-        lsh: list[FuncHash] = []
-        for h in hashes:
-            if h.token() in self._by_token:
-                continue
-            self._by_token[h.token()] = h
-            if h.scheme is HashScheme.LSH:
-                lsh.append(h)
-        lsh.sort(key=lambda h: h.digest)
-        self._lsh = lsh
-        self._pack = tlsh.pack_digests([h.digest for h in lsh])
-        self._bucketed = len(lsh) > bucket_threshold
-        self._buckets: dict[int, list[int]] = {}
-        if self._bucketed:
-            qbytes = (self._pack.q1_ratio.astype(np.int32) << 4) | self._pack.q2_ratio
-            for i, q in enumerate(qbytes.tolist()):
-                self._buckets.setdefault(q, []).append(i)
+        hashes = list(hashes)
+        digests = np.array([h.digest for h in hashes], dtype="S")
+        owner_ids = np.zeros(len(hashes), dtype=np.intp)
+        if owners is not None:
+            owner_ids[:] = list(owners)
+        order = np.lexsort((owner_ids, digests))
+        digests, owner_ids = digests[order], owner_ids[order]
+        first = np.ones(len(order), dtype=bool)  # a digest is one hash: scheme lengths differ
+        first[1:] = (digests[1:] != digests[:-1]) | (owner_ids[1:] != owner_ids[:-1])
+        self.hashes = [hashes[k] for k in order[first].tolist()]
+        self.owners = owner_ids[first]
+        self.digests = digests[first]
+        self.lsh_rows = np.array(
+            [i for i, h in enumerate(self.hashes) if h.scheme is HashScheme.LSH],
+            dtype=np.intp,
+        )
+        self.pack = tlsh.pack_digests([self.hashes[i].digest for i in self.lsh_rows])
 
     def __len__(self) -> int:
-        return len(self._by_token)
+        return len(self.hashes)
 
-    def exact(self, h: FuncHash) -> FuncHash | None:
-        return self._by_token.get(h.token())
 
-    def _candidate_rows(self, query: tlsh._Parts) -> list[int]:
-        qbyte = (query.q1_ratio << 4) | query.q2_ratio
-        return self._buckets.get(qbyte, [])
+@dataclass(frozen=True)
+class Matches:
+    """Parallel arrays, one element per (left row, right owner) that has a
+    match, sorted by left row and then owner."""
 
-    def scan_similar(
-        self, queries: list[FuncHash], cutoff: int
-    ) -> list[list[tuple[FuncHash, int]]]:
-        """Per query: all indexed LSH hashes within `cutoff`, with distances."""
-        results: list[list[tuple[FuncHash, int]]] = [[] for _ in queries]
-        if not self._lsh:
-            return results
-        lsh_rows = [i for i, q in enumerate(queries) if q.scheme is HashScheme.LSH]
-        if not lsh_rows:
-            return results
-        if self._bucketed:
-            for qi in lsh_rows:
-                parts = tlsh._decode(queries[qi].digest)
-                rows = self._candidate_rows(parts)
-                if not rows:
-                    continue
-                sub = tlsh.pack_digests([self._lsh[r].digest for r in rows])
-                dists = tlsh.diffxlen_matrix(tlsh.pack_digests([queries[qi].digest]), sub)[0]
-                for r, d in zip(rows, dists.tolist()):
-                    if d <= cutoff:
-                        results[qi].append((self._lsh[r], int(d)))
-            return results
-        col_chunk = max(1, (1 << 22) // max(1, _SCAN_CHUNK * 32))
-        for start in range(0, len(lsh_rows), _SCAN_CHUNK):
-            chunk = lsh_rows[start : start + _SCAN_CHUNK]
-            qpack = tlsh.pack_digests([queries[qi].digest for qi in chunk])
-            for col in range(0, len(self._lsh), col_chunk):
-                sub = tlsh.DigestPack(
-                    self._pack.checksum[col : col + col_chunk],
-                    self._pack.q1_ratio[col : col + col_chunk],
-                    self._pack.q2_ratio[col : col + col_chunk],
-                    self._pack.code[col : col + col_chunk],
-                )
-                dists = tlsh.diffxlen_matrix(qpack, sub)
-                hit_rows, hit_cols = np.nonzero(dists <= cutoff)
-                for r, c in zip(hit_rows.tolist(), hit_cols.tolist()):
-                    results[chunk[r]].append(
-                        (self._lsh[col + c], int(dists[r, c]))
-                    )
-        return results
+    left: np.ndarray      # left row
+    owner: np.ndarray     # right owner
+    right: np.ndarray     # best right row of that owner
+    distance: np.ndarray
+
+
+def _equal_digest_pairs(left: HashIndex, right: HashIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Every (left row, right row) pair with one digest."""
+    lo = np.searchsorted(right.digests, left.digests, side="left")
+    counts = np.searchsorted(right.digests, left.digests, side="right") - lo
+    starts = np.cumsum(counts) - counts
+    i = np.repeat(np.arange(len(left)), counts)
+    j = np.repeat(lo - starts, counts) + np.arange(int(counts.sum()))
+    return i, j
+
+
+def _similar_pairs(
+    left: HashIndex, right: HashIndex, symmetric: bool, cutoff: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(left row, right row, distance) of every LSH pair within cutoff, in
+    blocks.  `symmetric` (left is right) computes each unordered block
+    pair once and mirrors its hits, as `diffxlen` is symmetric."""
+    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for a0 in range(0, len(left.lsh_rows), _BLOCK):
+        block_a = left.pack[a0 : a0 + _BLOCK]
+        for b0 in range(a0 if symmetric else 0, len(right.lsh_rows), _BLOCK):
+            dists = tlsh.diffxlen_matrix(block_a, right.pack[b0 : b0 + _BLOCK])
+            r, c = np.nonzero(dists <= cutoff)
+            i, j, d = left.lsh_rows[a0 + r], right.lsh_rows[b0 + c], dists[r, c]
+            found.append((i, j, d))
+            if symmetric and b0 != a0:
+                found.append((j, i, d))
+    if not found:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, empty
+    i, j, d = (np.concatenate(parts) for parts in zip(*found))
+    return i, j, d
+
+
+def best_matches(
+    left: HashIndex, right: HashIndex | None = None, cutoff: int = DEFAULT_CUTOFF
+) -> Matches:
+    """For each left row and each right owner, the owner's best row.
+
+    Digest equality wins first; otherwise the minimum-distance row within
+    `cutoff`, ties broken by the smaller digest.  With `right` None, left
+    is matched against itself in one pass, skipping pairs of one owner.
+    """
+    symmetric = right is None
+    other = left if right is None else right
+    ei, ej = _equal_digest_pairs(left, other)
+    si, sj, sd = _similar_pairs(left, other, symmetric, cutoff)
+    i = np.concatenate([ei, si])
+    j = np.concatenate([ej, sj])
+    d = np.concatenate([np.zeros(len(ei), dtype=np.intp), sd])
+    not_equal = np.concatenate([np.zeros(len(ei), dtype=bool), np.ones(len(si), dtype=bool)])
+    owner = other.owners[j]
+    if symmetric:
+        keep = left.owners[i] != owner
+        i, j, d, not_equal, owner = i[keep], j[keep], d[keep], not_equal[keep], owner[keep]
+    order = np.lexsort((j, d, not_equal, owner, i))
+    i, j, d, owner = i[order], j[order], d[order], owner[order]
+    first = np.ones(len(i), dtype=bool)
+    first[1:] = (i[1:] != i[:-1]) | (owner[1:] != owner[:-1])
+    return Matches(left=i[first], owner=owner[first], right=j[first], distance=d[first])
 
 
 def match_hashes(
@@ -224,22 +243,12 @@ def match_hashes(
 
     Digest equality wins first; remaining left hashes take the
     minimum-distance similar candidate, ties broken by the smaller right
-    digest.  Result insertion order follows sorted left digests.
+    digest.  Result insertion order follows sorted left digests.  `index`
+    is one owner's hashes (built without owner ids).
     """
-    ordered = sorted(set(left), key=lambda h: (h.digest, h.scheme.value))
-    matched: dict[FuncHash, tuple[FuncHash, int]] = {}
-    pending: list[FuncHash] = []
-    for h in ordered:
-        hit = index.exact(h)
-        if hit is not None:
-            matched[h] = (hit, 0)
-        else:
-            pending.append(h)
-    candidates = index.scan_similar(pending, cutoff)
-    for h, cands in zip(pending, candidates):
-        if not cands:
-            continue
-        best = min(cands, key=lambda pair: (pair[1], pair[0].digest))
-        matched[h] = (best[0], best[1])
-    # Re-impose global ordering (exact and similar stages interleave).
-    return {h: matched[h] for h in ordered if h in matched}
+    query = HashIndex(left)
+    m = best_matches(query, index, cutoff)
+    return {
+        query.hashes[i]: (index.hashes[j], d)
+        for i, j, d in zip(m.left.tolist(), m.right.tolist(), m.distance.tolist())
+    }

@@ -16,10 +16,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from . import signature_store
-from .fingerprint import DEFAULT_CUTOFF, FuncHash, HashIndex, match_hashes
+from .fingerprint import DEFAULT_CUTOFF, HashIndex, Matches, best_matches, match_hashes
 from .signature_store import ComponentDb, OssSignature, SignatureEntry
 
 logger = logging.getLogger(__name__)
@@ -72,27 +74,52 @@ class SegmentationResult:
     app_entry_hashes: frozenset[str]  # digests
 
 
-def _index_for(sig: OssSignature, cache: dict[str, HashIndex] | None) -> HashIndex:
-    if cache is None:
-        return HashIndex(sig.entries.keys())
-    index = cache.get(sig.oss_id)
-    if index is None:
-        index = HashIndex(sig.entries.keys())
-        cache[sig.oss_id] = index
-    return index
+def _index(sigs: Sequence[OssSignature]) -> HashIndex:
+    """Every entry of `sigs`, owned by its signature's position."""
+    return HashIndex(
+        (h for sig in sigs for h in sig.entries),
+        (k for k, sig in enumerate(sigs) for _ in sig.entries),
+    )
 
 
-def _common(
-    s: OssSignature,
-    x: OssSignature,
+def _births(index: HashIndex, sigs: Sequence[OssSignature]) -> np.ndarray:
+    """Day number of each row's birth in its owner."""
+    return np.array(
+        [
+            signature_store.birth(sigs[o].entries[h], sigs[o]).toordinal()
+            for o, h in zip(index.owners.tolist(), index.hashes)
+        ],
+        dtype=np.int64,
+    )
+
+
+class _PairScores(NamedTuple):
+    left: HashIndex     # subject entries
+    matches: Matches    # best entry of each other signature per subject entry
+    g: np.ndarray       # (subjects, others) pairs born no later in the other
+
+
+def _pair_scores(
+    subjects: Sequence[OssSignature],
+    others: Sequence[OssSignature] | None,
     cutoff: int,
-    cache: dict[str, HashIndex] | None = None,
-) -> list[MatchedPair]:
-    index = _index_for(x, cache)
-    matched = match_hashes(s.entries.keys(), index, cutoff)
-    return [
-        MatchedPair(s.entries[sh], x.entries[xh], d) for sh, (xh, d) in matched.items()
-    ]
+) -> _PairScores:
+    """Match every subject entry against every other signature in one scan
+    and count, per (subject, other) pair, the numerator of phi.  `others`
+    None means the subjects themselves (one DB-wide pass)."""
+    left = _index(subjects)
+    left_births = _births(left, subjects)
+    if others is None:
+        m = best_matches(left, None, cutoff)
+        n_others, right_births = len(subjects), left_births
+    else:
+        right = _index(others)
+        m = best_matches(left, right, cutoff)
+        n_others, right_births = len(others), _births(right, others)
+    born_no_later = right_births[m.right] <= left_births[m.left]
+    pair = left.owners[m.left] * n_others + m.owner
+    g = np.bincount(pair[born_no_later], minlength=len(subjects) * n_others)
+    return _PairScores(left, m, g.reshape(len(subjects), n_others))
 
 
 def common_functions(
@@ -104,18 +131,10 @@ def common_functions(
     first, then the minimum-distance similar candidate (ties to the
     lexicographically smaller `x` digest).  Ordered by `s` digest.
     """
-    return _common(s, x, cutoff)
-
-
-def _phi_from_pairs(
-    pairs: Iterable[MatchedPair], s: OssSignature, x: OssSignature
-) -> PhiScore:
-    g = sum(
-        1
-        for pair in pairs
-        if signature_store.birth(pair.x_entry, x) <= signature_store.birth(pair.s_entry, s)
-    )
-    return PhiScore(s_id=s.oss_id, x_id=x.oss_id, g_size=g, x_size=len(x.entries))
+    matched = match_hashes(s.entries, HashIndex(x.entries), cutoff)
+    return [
+        MatchedPair(s.entries[sh], x.entries[xh], d) for sh, (xh, d) in matched.items()
+    ]
 
 
 def compute_phi(
@@ -126,7 +145,8 @@ def compute_phi(
     Equal birth dates count: at day resolution a tie is treated as
     x-originated, which errs toward keeping s's application code clean.
     """
-    return _phi_from_pairs(_common(s, x, cutoff), s, x)
+    g = int(_pair_scores([s], [x], cutoff).g[0, 0])
+    return PhiScore(s_id=s.oss_id, x_id=x.oss_id, g_size=g, x_size=len(x.entries))
 
 
 def check_prime(
@@ -136,41 +156,38 @@ def check_prime(
     cutoff: int = DEFAULT_CUTOFF,
 ) -> tuple[bool, frozenset[str]]:
     """Possible members of s (projects with phi >= theta) and primality."""
-    result = _segment_one(s, db, check_theta(theta), cutoff, cache=None)
+    result = segment(s, db, theta, cutoff)
     return result.is_prime, result.members
 
 
-def _segment_one(
-    s: OssSignature,
-    db: ComponentDb,
+def _segment(
+    subjects: Sequence[OssSignature],
+    others: Sequence[OssSignature] | None,
     theta: Fraction,
     cutoff: int,
-    cache: dict[str, HashIndex] | None,
-) -> SegmentationResult:
-    members: set[str] = set()
-    removed: set[FuncHash] = set()
-    for x in db.sorted_signatures():
-        if x.oss_id == s.oss_id:
-            continue
-        pairs = _common(s, x, cutoff, cache)
-        if not pairs:
-            continue
-        score = _phi_from_pairs(pairs, s, x)
-        if score.phi >= theta:
-            members.add(x.oss_id)
-            removed.update(pair.s_entry.hash for pair in pairs)
-    if members:
-        app = {h for h in s.entries if h not in removed}
-        is_prime = False
-    else:
-        app = set(s.entries)
-        is_prime = True
-    return SegmentationResult(
-        oss_id=s.oss_id,
-        is_prime=is_prime,
-        members=frozenset(members),
-        app_entry_hashes=frozenset(h.digest for h in app),
-    )
+) -> list[SegmentationResult]:
+    """Members and application code of each subject against `others`
+    (None: against the other subjects)."""
+    targets = subjects if others is None else others
+    left, m, g = _pair_scores(subjects, others, cutoff)
+    member = np.zeros(g.shape, dtype=bool)
+    for k, x in zip(*np.nonzero(g)):
+        member[k, x] = Fraction(int(g[k, x]), len(targets[x].entries)) >= theta
+    removed = np.zeros(len(left), dtype=bool)
+    removed[m.left[member[left.owners[m.left], m.owner]]] = True
+    app: list[list[str]] = [[] for _ in subjects]
+    for owner, h, gone in zip(left.owners.tolist(), left.hashes, removed.tolist()):
+        if not gone:
+            app[owner].append(h.digest)
+    return [
+        SegmentationResult(
+            oss_id=s.oss_id,
+            is_prime=not member[k].any(),
+            members=frozenset(targets[x].oss_id for x in np.flatnonzero(member[k])),
+            app_entry_hashes=frozenset(app[k]),
+        )
+        for k, s in enumerate(subjects)
+    ]
 
 
 def segment(
@@ -181,7 +198,8 @@ def segment(
 ) -> SegmentationResult:
     """Application code of s: all entries when prime, otherwise the
     entries minus everything matched to any possible member."""
-    return _segment_one(s, db, check_theta(theta), cutoff, cache=None)
+    others = [x for x in db.sorted_signatures() if x.oss_id != s.oss_id]
+    return _segment([s], others, check_theta(theta), cutoff)[0]
 
 
 def segment_all(
@@ -189,13 +207,11 @@ def segment_all(
     theta: object = DEFAULT_THETA,
     cutoff: int = DEFAULT_CUTOFF,
 ) -> dict[str, SegmentationResult]:
-    """Segment every signature against the unsegmented originals."""
-    theta_f = check_theta(theta)
-    cache: dict[str, HashIndex] = {}
-    return {
-        sig.oss_id: _segment_one(sig, db, theta_f, cutoff, cache)
-        for sig in db.sorted_signatures()
-    }
+    """Segment every signature against the unsegmented originals, in one
+    DB-wide matching pass that scans each pair of entries once."""
+    sigs = db.sorted_signatures()
+    results = _segment(sigs, None, check_theta(theta), cutoff)
+    return {r.oss_id: r for r in results}
 
 
 def apply_segmentation(db: ComponentDb, results: dict[str, SegmentationResult]) -> None:

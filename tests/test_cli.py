@@ -260,6 +260,27 @@ def test_collect_min_tag_count(tmp_path, capsys):
     assert "need at least 5" in capsys.readouterr().err
 
 
+@needs_git
+def test_collect_refuses_symlink_out_of_output_dir(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _make_git_repo(repo)
+    (repo / "escape").symlink_to("../../../outside.c")
+    subprocess.run(["git", "-C", str(repo), "add", "."], check=True)
+    subprocess.run(
+        ["git", "-C", str(repo), "-c", "user.name=tester", "-c", "user.email=t@example.org",
+         "commit", "-q", "-m", "link"],
+        check=True,
+    )
+    subprocess.run(["git", "-C", str(repo), "tag", "v3.0"], check=True)
+    out = tmp_path / "collected"
+    assert main(["collect", "--git", str(repo), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tag v3.0:")
+    assert "escape" in err
+    assert not (tmp_path / "outside.c").exists()
+
+
 def test_collect_without_git_is_clear_error(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(shutil, "which", lambda _: None)
     assert main(["collect", "--git", "https://example.org/x.git", "--out", str(tmp_path)]) == 1

@@ -12,6 +12,7 @@ from osscan import detector, evalkit, segmenter
 from osscan.detector import (
     DetectionError,
     DetectorConfig,
+    MatchEvidence,
     fingerprint_sources,
     identify_components,
     identify_version,
@@ -20,6 +21,7 @@ from osscan.detector import (
     render_report,
     score_components,
 )
+from osscan.fingerprint import HashIndex, match_hashes
 from osscan.signature_store import ComponentDb
 
 from conftest import build_sig_from_specs, c_function, source_file
@@ -443,3 +445,58 @@ def test_detector_config_validation():
         DetectorConfig(cutoff=-1)
     cfg = DetectorConfig(theta="0.15", cutoff=10)
     assert cfg.theta == Fraction(3, 20)
+
+
+def _reference_evidence(t, sig, version_id, index, cutoff):
+    """Evidence from a per-signature `match_hashes` call over the version."""
+    ordinal = sig.version_by_id(version_id).ordinal
+    entries = [e for e in sig.entries.values() if ordinal in e.versions]
+    paired = match_hashes((e.hash for e in entries), index, cutoff)
+    return [
+        MatchEvidence(
+            digest=e.hash.digest,
+            relation="IDENTICAL" if paired[e.hash][1] == 0 else "SIMILAR",
+            distance=paired[e.hash][1],
+            target_paths=tuple(sorted(t.functions[paired[e.hash][0]])),
+            original_paths=tuple(sorted(e.paths[ordinal])),
+        )
+        for e in sorted(entries, key=lambda e: e.hash.digest)
+        if e.hash in paired
+    ]
+
+
+def test_single_scan_equals_per_signature_reference(nested_db):
+    db = _segmented(nested_db)
+    rng = random.Random(12)
+
+    def mutated(tags):
+        variants = [evalkit.mutate_body(rng, c_function(tag), 30) for tag in tags]
+        return b"\n\n".join(v for v in variants if v is not None)
+
+    river = [f"river{i:02d}" for i in range(20)]
+    rock = [f"rock{i:02d}" for i in range(10)]
+    files = [
+        ("vendor/river/a.c", source_file(river[:8])),
+        ("vendor/river/b.c", mutated(river[8:14])),
+        ("lib/rock.c", source_file(rock[:7])),
+        ("lib/wander.c", mutated([f"wander{i:02d}" for i in range(3)])),
+        ("own/main.c", source_file([f"target_own{i}" for i in range(5)])),
+    ]
+    t = fingerprint_sources("t", files)
+    index = HashIndex(t.functions)
+    cfg = DetectorConfig()
+    scored = {s.sig.oss_id: s for s in score_components(t, db, cfg.cutoff)}
+    assert sorted(scored) == sorted(db.signatures)
+    for oss_id, sig in db.signatures.items():
+        matched = match_hashes(sig.app_entries, index, cfg.cutoff)
+        assert scored[oss_id].matched == matched
+        assert list(scored[oss_id].matched) == list(matched)
+        assert scored[oss_id].phi == Fraction(len(matched), len(sig.app_entries))
+    reports = identify_components(t, db, cfg)
+    assert {r.oss_id for r in reports} >= {"riverlib", "rockbase"}
+    assert any(e.relation == "SIMILAR" for r in reports for e in r.evidence)
+    for report in reports:
+        sig = db.signatures[report.oss_id]
+        expected = _reference_evidence(t, sig, report.version_id, index, cfg.cutoff)
+        assert report.evidence == expected
+        assert report.identical + report.modified == len(expected)

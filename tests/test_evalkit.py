@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import datetime
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,6 +83,38 @@ def test_generate_corpus_deterministic(tmp_path: Path):
     assert a.ground_truth.to_json() == b.ground_truth.to_json()
     c = generate_corpus(seed=12, out_dir=tmp_path / "three", shape=SMALL)
     assert _tree_bytes(tmp_path / "one") != _tree_bytes(tmp_path / "three")
+
+
+# Mutates every function of every component, so that mutate_body meets
+# identifiers that tie on its ranking key.
+_GENERATE = """
+import sys
+from pathlib import Path
+from osscan import evalkit
+
+out = Path(sys.argv[1])
+shape = evalkit.CorpusShape(n_standalone=6, include_chains=False)
+corpus = evalkit.generate_corpus(11, out / "draw", shape, plants=[]).corpus
+plan = [
+    (f"t_{oss}", [evalkit.PlantSpec(
+        oss, "CODE_CHANGED", corpus.projects[oss].latest_version, mutation_rate=1.0)])
+    for oss in sorted(corpus.projects)
+]
+evalkit.generate_corpus(11, out / "gen", shape, plants=plan)
+"""
+
+
+def test_generated_trees_independent_of_hash_seed(tmp_path):
+    src = str(Path(evalkit.__file__).resolve().parents[1])
+    trees = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-c", _GENERATE, str(out)], check=True, env=env, timeout=300
+        )
+        trees.append(_tree_bytes(out / "gen"))
+    assert trees[0] == trees[1]
 
 
 def test_generated_chain_has_increasing_birth_dates(tmp_path: Path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from osscan.fingerprint import (
     HashIndex,
     HashScheme,
     Relation,
+    best_matches,
     classify,
     distance,
     hash_function,
@@ -185,49 +187,82 @@ def _flip_code_dibit(digest: str, byte_idx: int, lane: int) -> str:
     return (header + bytes(code[::-1])).hex()
 
 
+def _shift_q1(digest: str, by: int) -> str:
+    """The digest with its q1 quartile ratio moved by `by` on its ring."""
+    parts = tlsh._decode(digest)
+    qbyte = (((parts.q1_ratio + by) % 16) << 4) | parts.q2_ratio
+    raw = bytearray(bytes.fromhex(digest))
+    raw[2] = tlsh._swap_nibbles(qbyte)
+    return raw.hex()
+
+
+def _rows_within(query: FuncHash, hashes: list[FuncHash], cutoff: int) -> set:
+    """Every indexed row within cutoff of `query`: with one owner per row,
+    the best match of each owner is that owner's only row."""
+    index = HashIndex(hashes, owners=range(len(hashes)))
+    m = best_matches(HashIndex([query]), index, cutoff)
+    return {(index.hashes[j], d) for j, d in zip(m.right.tolist(), m.distance.tolist())}
+
+
 def test_index_exact_lookup():
     hashes = [_lsh_hash(f"ix{i}") for i in range(5)] + [hash_function(b"tiny")]
     index = HashIndex(hashes)
     assert len(index) == 6
-    for h in hashes:
-        assert index.exact(h) == h
-    assert index.exact(_lsh_hash("absent")) is None
+    # a negative cutoff leaves digest equality as the only way to match
+    assert match_hashes(hashes, index, cutoff=-1) == {h: (h, 0) for h in hashes}
+    assert match_hashes([_lsh_hash("absent")], index, cutoff=-1) == {}
 
 
 def test_index_scan_matches_bruteforce():
-    rng = random.Random(11)
     base = _lsh_hash("scanbase", 300)
     variants = [FuncHash(HashScheme.LSH, _flip_code_dibit(base.digest, i, i % 4)) for i in range(6)]
     noise = [_lsh_hash(f"noise{i}", 200) for i in range(20)]
-    index = HashIndex(variants + noise)
-    hits = index.scan_similar([base], cutoff=5)[0]
-    brute = [
+    hits = _rows_within(base, variants + noise, cutoff=5)
+    brute = {
         (h, distance(base, h))
         for h in variants + noise
         if h.scheme is HashScheme.LSH and distance(base, h) <= 5
+    }
+    assert hits == brute
+
+
+def test_match_finds_pairs_whose_quartile_bytes_differ_at_any_index_size():
+    # A quartile-ratio difference of 2 costs 12, under the cutoff, so a scan
+    # restricted to rows sharing the query's quartile byte would miss it.
+    # Above 100,000 indexed digests is where such a restriction once began.
+    base = _lsh_hash("quartile", 300)
+    near = FuncHash(HashScheme.LSH, _shift_q1(base.digest, 2))
+    assert distance(base, near) == 12
+    rng = np.random.default_rng(5)
+    noise = [
+        FuncHash(HashScheme.LSH, row.tobytes().hex())
+        for row in rng.integers(0, 256, size=(100_001, 35), dtype=np.uint8)
     ]
-    assert sorted(hits) == sorted(brute)
+    index = HashIndex(noise + [near])
+    assert match_hashes([base], index, cutoff=DEFAULT_CUTOFF) == {base: (near, 12)}
 
 
 def test_bucketed_index_finds_same_header_candidates():
+    # The scan covers every row, so a near row sharing the query's header
+    # byte is found however the index is laid out.
     base = _lsh_hash("bucket", 300)
     near = FuncHash(HashScheme.LSH, _flip_code_dibit(base.digest, 3, 1))
-    index = HashIndex([near], bucket_threshold=0)  # force bucketing
-    hits = index.scan_similar([base], cutoff=5)[0]
-    assert (near, 1) in hits
+    assert (near, 1) in _rows_within(base, [near], cutoff=5)
+    assert match_hashes([base], HashIndex([near]), cutoff=5) == {base: (near, 1)}
 
 
 def test_bucketed_scan_is_subset_of_full_scan():
-    rng = random.Random(33)
     hashes = []
     base = _lsh_hash("subsetbase", 400)
     hashes.append(FuncHash(HashScheme.LSH, _flip_code_dibit(base.digest, 2, 0)))
     hashes.extend(_lsh_hash(f"sub{i}", 150 + i) for i in range(40))
-    full = HashIndex(hashes)
-    bucketed = HashIndex(hashes, bucket_threshold=0)
-    full_hits = {(h, d) for h, d in full.scan_similar([base], cutoff=60)[0]}
-    bucket_hits = {(h, d) for h, d in bucketed.scan_similar([base], cutoff=60)[0]}
-    assert bucket_hits <= full_hits
+    full_hits = {
+        (h, distance(base, h, 60))
+        for h in hashes
+        if distance(base, h, 60) <= 60
+    }
+    hits = _rows_within(base, hashes, cutoff=60)
+    assert hits <= full_hits
     # candidates sharing the query's header byte are never lost
     same_header = {
         (h, d)
@@ -235,7 +270,30 @@ def test_bucketed_scan_is_subset_of_full_scan():
         if tlsh._decode(h.digest).q1_ratio == tlsh._decode(base.digest).q1_ratio
         and tlsh._decode(h.digest).q2_ratio == tlsh._decode(base.digest).q2_ratio
     }
-    assert same_header <= bucket_hits
+    assert same_header <= hits
+
+
+def test_scan_returns_every_row_within_cutoff():
+    rng = random.Random(33)
+    bases = [_lsh_hash(f"subsetbase{i}", 400) for i in range(3)]
+    hashes = []
+    for base in bases:
+        hashes.append(FuncHash(HashScheme.LSH, _flip_code_dibit(base.digest, 2, 0)))
+        hashes.append(FuncHash(HashScheme.LSH, _flip_code_dibit(base.digest, 9, 3)))
+        for by in (1, 2, 3, 15):
+            hashes.append(FuncHash(HashScheme.LSH, _shift_q1(base.digest, by)))
+        hashes.append(base)
+    hashes.extend(_lsh_hash(f"sub{i}", 150 + i) for i in range(40))
+    hashes.append(hash_function(b"tiny"))
+    rng.shuffle(hashes)
+    for query in bases:
+        for cutoff in (0, 5, 30, 60):
+            brute = {
+                (h, distance(query, h, cutoff))
+                for h in hashes
+                if h.scheme is HashScheme.LSH and distance(query, h, cutoff) <= cutoff
+            }
+            assert _rows_within(query, hashes, cutoff) == brute
 
 
 def test_match_exact_takes_precedence():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from osscan import segmenter, signature_store
+from osscan.fingerprint import FuncHash, HashIndex, HashScheme, match_hashes
 from osscan.segmenter import (
     check_prime,
     check_theta,
@@ -251,3 +252,94 @@ def test_app_entries_disjoint_from_members(segmented_nested_db: ComponentDb):
             }
             app_digests = {h.digest for h in sig.app_entries}
             assert not app_digests & member_digests
+
+
+def _lsh(digest_bytes: bytes) -> FuncHash:
+    return FuncHash(HashScheme.LSH, digest_bytes.hex())
+
+
+def _collision_pool(rng: random.Random) -> list[FuncHash]:
+    """Digests built to collide: equal-cost variants (ties broken by the
+    digest), length-byte variants (distance 0 but unequal digests), exact
+    hashes, and unrelated noise."""
+    pool: list[FuncHash] = []
+    for _ in range(6):
+        raw = bytearray(rng.randrange(256) for _ in range(35))
+        pool.append(_lsh(bytes(raw)))
+        for pos in rng.sample(range(3, 35), 3):  # three variants at distance 1
+            variant = bytearray(raw)
+            variant[pos] ^= 1
+            pool.append(_lsh(bytes(variant)))
+        for lvalue in rng.sample(range(256), 2):  # diffxlen ignores the length byte
+            variant = bytearray(raw)
+            variant[1] = lvalue
+            pool.append(_lsh(bytes(variant)))
+    pool.extend(FuncHash(HashScheme.EXACT, f"{i:064x}") for i in range(6))
+    pool.extend(_lsh(bytes(rng.randrange(256) for _ in range(35))) for _ in range(8))
+    return sorted(set(pool), key=lambda h: h.digest)
+
+
+def _synthetic_sig(
+    oss_id: str, hashes: list[FuncHash], rng: random.Random
+) -> signature_store.OssSignature:
+    metas = signature_store.make_version_meta(
+        [(f"v{k}", datetime.date(2015 + rng.randrange(4), 1 + k, 1)) for k in range(3)]
+    )
+    entries = {}
+    for h in hashes:
+        versions = set(rng.sample(range(3), rng.randrange(1, 4)))
+        entries[h] = signature_store.SignatureEntry(
+            hash=h, versions=versions, paths={o: {f"{oss_id}.c"} for o in versions}
+        )
+    return signature_store.OssSignature(oss_id=oss_id, version_meta=metas, entries=entries)
+
+
+def _per_pair_reference(db: ComponentDb, theta: Fraction, cutoff: int) -> dict:
+    """Segmentation from one `match_hashes` call per ordered pair."""
+    out = {}
+    for s in db.sorted_signatures():
+        members, removed = set(), set()
+        for x in db.sorted_signatures():
+            if x.oss_id == s.oss_id:
+                continue
+            matched = match_hashes(s.entries, HashIndex(x.entries), cutoff)
+            assert matched == brute_pair(set(s.entries), set(x.entries), cutoff)
+            g = sum(
+                1
+                for sh, (xh, _) in matched.items()
+                if signature_store.birth(x.entries[xh], x)
+                <= signature_store.birth(s.entries[sh], s)
+            )
+            if matched and Fraction(g, len(x.entries)) >= theta:
+                members.add(x.oss_id)
+                removed.update(matched)
+        out[s.oss_id] = segmenter.SegmentationResult(
+            oss_id=s.oss_id,
+            is_prime=not members,
+            members=frozenset(members),
+            app_entry_hashes=frozenset(h.digest for h in s.entries if h not in removed),
+        )
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_db_wide_pass_equals_per_pair_reference(seed: int):
+    rng = random.Random(seed)
+    pool = _collision_pool(rng)
+    db = ComponentDb(
+        signatures={
+            f"c{k}": _synthetic_sig(f"c{k}", rng.sample(pool, rng.randrange(8, 30)), rng)
+            for k in range(6)
+        }
+    )
+    for theta, cutoff in ((Fraction(1, 10), 30), (Fraction(1, 4), 0), (Fraction(1, 10), -1)):
+        expected = _per_pair_reference(db, theta, cutoff)
+        assert segment_all(db, theta, cutoff) == expected
+        s = db.signatures["c0"]
+        assert segment(s, db, theta, cutoff) == expected["c0"]
+        for x in db.sorted_signatures()[1:]:
+            matched = match_hashes(s.entries, HashIndex(x.entries), cutoff)
+            assert {(p.s_entry.hash, p.x_entry.hash, p.distance)
+                    for p in common_functions(s, x, cutoff)} == {
+                (sh, xh, d) for sh, (xh, d) in matched.items()
+            }

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from osscan import tlsh
 
@@ -134,6 +134,51 @@ def test_matrix_equals_scalar():
     for i in range(len(digests)):
         for j in range(len(digests)):
             assert matrix[i, j] == tlsh.diffxlen(digests[i], digests[j])
+
+
+def _digest_of(q1: int, q2: int, code_byte: int, checksum: int = 0) -> str:
+    header = bytes(
+        (tlsh._swap_nibbles(checksum), 0, tlsh._swap_nibbles((q1 << 4) | q2))
+    )
+    return (header + bytes([code_byte]) * 32).hex()
+
+
+_ALL_ZERO = _digest_of(0, 0, 0x00)
+_ALL_THREE = _digest_of(15, 15, 0xFF, checksum=1)
+
+
+def test_matrix_edge_terms():
+    # q-ratio ring wrap: 0 and 15 are neighbours, costing 1 each
+    assert tlsh.diffxlen_matrix(
+        tlsh.pack_digests([_digest_of(0, 0, 0x1B)]), tlsh.pack_digests([_digest_of(15, 15, 0x1B)])
+    ).tolist() == [[2]]
+    # every lane swings 0 <-> 3: 128 lanes at 6, plus the ring and checksum terms
+    matrix = tlsh.diffxlen_matrix(
+        tlsh.pack_digests([_ALL_ZERO]), tlsh.pack_digests([_ALL_THREE])
+    )
+    assert matrix.tolist() == [[768 + 2 + 1]]
+
+
+_DIGESTS = st.binary(min_size=35, max_size=35).map(bytes.hex)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_DIGESTS, max_size=12), st.lists(_DIGESTS, max_size=12))
+@example([_ALL_ZERO], [_ALL_THREE, _digest_of(15, 1, 0x00), _digest_of(8, 8, 0xAA)])
+@example([], [_ALL_ZERO])
+@example([_ALL_THREE], [])
+def test_matrix_equals_scalar_property(left: list[str], right: list[str]):
+    matrix = tlsh.diffxlen_matrix(tlsh.pack_digests(left), tlsh.pack_digests(right))
+    assert matrix.dtype == np.int32
+    assert matrix.shape == (len(left), len(right))
+    assert matrix.tolist() == [[tlsh.diffxlen(a, b) for b in right] for a in left]
+
+
+def test_pack_rejects_bad_digests():
+    with pytest.raises(ValueError, match="length"):
+        tlsh.pack_digests([PINNED_DIGEST, "ab"])
+    with pytest.raises(ValueError, match="hexadecimal"):
+        tlsh.pack_digests([PINNED_DIGEST[:-1] + "g"])
 
 
 def test_matrix_empty_sides():
