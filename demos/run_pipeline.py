@@ -13,7 +13,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from osscan import evalkit, detector, segmenter, signature_store
-from osscan.cli import _build_one
 from osscan.detector import DetectorConfig
 
 
@@ -27,7 +26,7 @@ def main(workdir: Path) -> None:
     print("\n== 2. signatures with redundancy elimination ==")
     db = signature_store.ComponentDb()
     for oss_id, oss_dir in bundle.manifest:
-        db.signatures[oss_id] = _build_one(oss_dir, cutoff=30)
+        db.signatures[oss_id] = signature_store.build_component(oss_dir)
     ratio = signature_store.dedup_ratio(db)
     total_entries = sum(len(s.entries) for s in db.signatures.values())
     total_incidences = sum(s.total_incidences() for s in db.signatures.values())

@@ -19,6 +19,7 @@ from .segmenter import segment_all, apply_segmentation
 from .signature_store import (
     ComponentDb,
     OssSignature,
+    build_component,
     build_signature,
     dedup_ratio,
     load_db,

@@ -9,8 +9,6 @@ but processed the rest.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import datetime
 import io
 import logging
 import shutil
@@ -26,47 +24,8 @@ from .signature_store import (
     ComponentDb,
     DbFormatError,
     DbMeta,
-    EPOCH_DATE,
     SignatureError,
 )
-
-logger = logging.getLogger(__name__)
-
-
-def _read_corpus_meta(oss_dir: Path) -> dict[str, datetime.date]:
-    dates: dict[str, datetime.date] = {}
-    meta_path = oss_dir / "meta.tsv"
-    if not meta_path.is_file():
-        return dates
-    for lineno, line in enumerate(meta_path.read_text(encoding="utf-8").splitlines(), 1):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"{meta_path}:{lineno}: expected 'version_id<TAB>date'")
-        dates[parts[0]] = datetime.date.fromisoformat(parts[1])
-    return dates
-
-
-def _build_one(oss_dir: Path, cutoff: int) -> signature_store.OssSignature:
-    dates = _read_corpus_meta(oss_dir)
-    version_dirs = sorted(p for p in oss_dir.iterdir() if p.is_dir())
-    if not version_dirs:
-        raise SignatureError(f"empty OSS: {oss_dir.name} has no version directories")
-    pairs = []
-    for version_dir in version_dirs:
-        if version_dir.name in dates:
-            release = dates[version_dir.name]
-        else:
-            logger.warning(
-                "%s: no release date for %s, using %s",
-                oss_dir.name, version_dir.name, EPOCH_DATE.isoformat(),
-            )
-            release = EPOCH_DATE
-        pairs.append((version_dir.name, release))
-    metas = signature_store.make_version_meta(pairs)
-    by_id = {p.name: p for p in version_dirs}
-    versions = [(meta, by_id[meta.version_id]) for meta in metas]
-    return signature_store.build_signature(oss_dir.name, versions)
-
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
     corpus = Path(args.corpus)
@@ -80,29 +39,12 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
     db = ComponentDb(meta=DbMeta(cutoff=args.cutoff))
     failures = 0
-
-    def build(oss_dir: Path):
-        return _build_one(oss_dir, args.cutoff)
-
-    if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {pool.submit(build, d): d for d in oss_dirs}
-            results = {}
-            for future, oss_dir in futures.items():
-                try:
-                    results[oss_dir.name] = future.result()
-                except (SignatureError, OSError, ValueError) as exc:
-                    print(f"error: {oss_dir.name}: {exc}", file=sys.stderr)
-                    failures += 1
-        for name in sorted(results):
-            db.signatures[name] = results[name]
-    else:
-        for oss_dir in oss_dirs:
-            try:
-                db.signatures[oss_dir.name] = build(oss_dir)
-            except (SignatureError, OSError, ValueError) as exc:
-                print(f"error: {oss_dir.name}: {exc}", file=sys.stderr)
-                failures += 1
+    for oss_dir in oss_dirs:
+        try:
+            db.signatures[oss_dir.name] = signature_store.build_component(oss_dir)
+        except (SignatureError, OSError, ValueError) as exc:
+            print(f"error: {oss_dir.name}: {exc}", file=sys.stderr)
+            failures += 1
 
     if not db.signatures:
         print("error: no signatures built", file=sys.stderr)
@@ -237,12 +179,12 @@ def cmd_collect(args: argparse.Namespace) -> int:
             )
             return 1
         repo_name = clone_name(args.git)
-        oss_dir = out_root / repo_name
-        oss_dir.mkdir(parents=True, exist_ok=True)
+        staged = Path(tmp) / "out" / repo_name
+        staged.mkdir(parents=True)
         meta_lines = []
         for tag, date in sorted(tags):
             safe = tag.replace("/", "_")
-            version_dir = oss_dir / safe
+            version_dir = staged / safe
             version_dir.mkdir(parents=True, exist_ok=True)
             archive = subprocess.run(
                 ["git", "-C", str(clone), "archive", "--format=tar", tag],
@@ -255,9 +197,13 @@ def cmd_collect(args: argparse.Namespace) -> int:
                     print(f"error: tag {tag}: refusing archive entry: {exc}", file=sys.stderr)
                     return 1
             meta_lines.append(f"{safe}\t{date}")
-        (oss_dir / "meta.tsv").write_text(
+        (staged / "meta.tsv").write_text(
             "\n".join(meta_lines) + "\n", encoding="utf-8", newline="\n"
         )
+        # only a fully exported component reaches --out; an earlier export
+        # of the same repository is merged into, as before
+        oss_dir = out_root / repo_name
+        shutil.copytree(staged, oss_dir, symlinks=True, dirs_exist_ok=True)
         print(f"{repo_name}\tversions={len(tags)}\tout={oss_dir}")
     return 0
 
@@ -278,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="build the signature database from a corpus")
     p.add_argument("--corpus", required=True, help="directory of <oss_id>/<version>/ trees")
     p.add_argument("--db", required=True, help="output database directory")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cutoff", type=int, default=30)
     p.set_defaults(func=cmd_preprocess)
 

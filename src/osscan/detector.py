@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .extractor import RawFunction, extract_from_source, extract_functions
+from .extractor import extract_functions
 from .fingerprint import (
     DEFAULT_CUTOFF,
     FuncHash,
@@ -105,26 +105,12 @@ def _collapse(pairs: Iterable[tuple[str, FuncHash]]) -> dict[FuncHash, frozenset
 
 
 def fingerprint_target(
-    tree_root: str | Path,
-    target_id: str | None = None,
-    language_filter: set[str] | None = None,
+    tree_root: str | Path, target_id: str | None = None
 ) -> TargetFingerprint:
     root = Path(tree_root)
-    functions = extract_functions(root, language_filter)
+    functions = extract_functions(root)
     return TargetFingerprint(
         target_id=target_id or root.name,
-        functions=_collapse((p, h) for p, h in hash_raw_functions(functions)),
-    )
-
-
-def fingerprint_sources(
-    target_id: str, sources: Sequence[tuple[str, bytes]]
-) -> TargetFingerprint:
-    functions: list[RawFunction] = []
-    for path, data in sources:
-        functions.extend(extract_from_source(path, data))
-    return TargetFingerprint(
-        target_id=target_id,
         functions=_collapse((p, h) for p, h in hash_raw_functions(functions)),
     )
 
@@ -139,8 +125,9 @@ def score_components(
 
     One scan pairs every distinct entry of the DB with the target; each
     signature's phi is read from that pairing.  `use_segmentation=False`
-    scores against full entry sets instead of application code; it exists
-    for ablation tests and the theta sweep, not for production use.
+    scores against full entry sets instead of application code; it serves
+    the segmentation ablation (acceptance criterion 2 and the demo), not
+    production use.
     """
     pools = []
     for sig in db.sorted_signatures():

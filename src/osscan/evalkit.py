@@ -21,6 +21,7 @@ import json
 import logging
 import random
 import re
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -938,7 +939,8 @@ def verify_detection(
 
 def run_mixed_version_trial(seed: int, cutoff: int = fingerprint.DEFAULT_CUTOFF) -> tuple[str, tuple[str, str]]:
     """Plant a two-adjacent-version, code-changed reuse of one project and
-    report (identified version, the mixed pair).  Runs fully in memory."""
+    report (identified version, the mixed pair).  The version trees and the
+    target are written to a temporary directory and removed afterwards."""
     from . import detector, segmenter, signature_store
 
     rng = random.Random(seed)
@@ -977,14 +979,18 @@ def run_mixed_version_trial(seed: int, cutoff: int = fingerprint.DEFAULT_CUTOFF)
     metas = signature_store.make_version_meta(
         [(v, project.dates[v]) for v in project.version_ids]
     )
-    sources = [
-        (meta, corpus.render_version(oss_id, meta.version_id)) for meta in metas
-    ]
-    sig = signature_store.build_signature_from_sources(oss_id, sources)
+    with tempfile.TemporaryDirectory(prefix="osscan-trial-") as tmp:
+        versions = []
+        for meta in metas:
+            tree = Path(tmp) / oss_id / meta.version_id
+            _write_tree(tree, corpus.render_version(oss_id, meta.version_id))
+            versions.append((meta, tree))
+        sig = signature_store.build_signature(oss_id, versions)
+        target = Path(tmp) / "target"
+        _write_tree(target, target_files)
+        t = detector.fingerprint_target(target, target_id=f"trial_target_{seed}")
     db = signature_store.ComponentDb(signatures={oss_id: sig})
     segmenter.apply_segmentation(db, segmenter.segment_all(db, cutoff=cutoff))
-
-    t = detector.fingerprint_sources(f"trial_target_{seed}", target_files)
     reports = detector.identify_components(
         t, db, detector.DetectorConfig(cutoff=cutoff)
     )

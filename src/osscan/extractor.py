@@ -52,16 +52,6 @@ class RawFunction:
     line_span: tuple[int, int]  # 1-based inclusive
 
 
-@dataclass(frozen=True)
-class NormalizedFunction:
-    file_path: str
-    text: bytes
-
-    @classmethod
-    def from_raw(cls, raw: RawFunction) -> "NormalizedFunction":
-        return cls(file_path=raw.file_path, text=normalize(raw.body))
-
-
 def normalize(body: bytes) -> bytes:
     """Strip comments and whitespace from C/C++ source text.
 
@@ -302,19 +292,15 @@ def extract_from_source(file_path: str, data: bytes) -> list[RawFunction]:
     return results
 
 
-def list_source_files(root: Path, language_filter: frozenset[str] | set[str] | None = None) -> list[Path]:
-    extensions = frozenset(language_filter) if language_filter else DEFAULT_EXTENSIONS
+def list_source_files(root: Path) -> list[Path]:
     files = [
-        p for p in root.rglob("*") if p.is_file() and p.suffix.lower() in extensions
+        p for p in root.rglob("*") if p.is_file() and p.suffix.lower() in DEFAULT_EXTENSIONS
     ]
     files.sort(key=lambda p: p.relative_to(root).as_posix())
     return files
 
 
-def extract_functions(
-    source_tree_root: str | Path,
-    language_filter: frozenset[str] | set[str] | None = None,
-) -> list[RawFunction]:
+def extract_functions(source_tree_root: str | Path) -> list[RawFunction]:
     """Extract every function definition under a directory tree.
 
     Files are visited in lexicographic order of their repo-relative path,
@@ -325,7 +311,7 @@ def extract_functions(
     if not root.is_dir():
         raise NotADirectoryError(f"source tree not found: {root}")
     results: list[RawFunction] = []
-    for path in list_source_files(root, language_filter):
+    for path in list_source_files(root):
         rel = path.relative_to(root).as_posix()
         try:
             data = path.read_bytes()

@@ -94,32 +94,21 @@ def _births(index: HashIndex, sigs: Sequence[OssSignature]) -> np.ndarray:
 
 
 class _PairScores(NamedTuple):
-    left: HashIndex     # subject entries
-    matches: Matches    # best entry of each other signature per subject entry
-    g: np.ndarray       # (subjects, others) pairs born no later in the other
+    left: HashIndex     # every entry, owned by its signature's position
+    matches: Matches    # best entry of each other signature per entry
+    g: np.ndarray       # (subject, other) pairs born no later in the other
 
 
-def _pair_scores(
-    subjects: Sequence[OssSignature],
-    others: Sequence[OssSignature] | None,
-    cutoff: int,
-) -> _PairScores:
-    """Match every subject entry against every other signature in one scan
-    and count, per (subject, other) pair, the numerator of phi.  `others`
-    None means the subjects themselves (one DB-wide pass)."""
-    left = _index(subjects)
-    left_births = _births(left, subjects)
-    if others is None:
-        m = best_matches(left, None, cutoff)
-        n_others, right_births = len(subjects), left_births
-    else:
-        right = _index(others)
-        m = best_matches(left, right, cutoff)
-        n_others, right_births = len(others), _births(right, others)
-    born_no_later = right_births[m.right] <= left_births[m.left]
-    pair = left.owners[m.left] * n_others + m.owner
-    g = np.bincount(pair[born_no_later], minlength=len(subjects) * n_others)
-    return _PairScores(left, m, g.reshape(len(subjects), n_others))
+def _pair_scores(sigs: Sequence[OssSignature], cutoff: int) -> _PairScores:
+    """Match every entry against every other signature in one DB-wide scan
+    and count, per (subject, other) pair, the numerator of phi."""
+    left = _index(sigs)
+    births = _births(left, sigs)
+    m = best_matches(left, None, cutoff)
+    born_no_later = births[m.right] <= births[m.left]
+    pair = left.owners[m.left] * len(sigs) + m.owner
+    g = np.bincount(pair[born_no_later], minlength=len(sigs) * len(sigs))
+    return _PairScores(left, m, g.reshape(len(sigs), len(sigs)))
 
 
 def common_functions(
@@ -145,7 +134,7 @@ def compute_phi(
     Equal birth dates count: at day resolution a tie is treated as
     x-originated, which errs toward keeping s's application code clean.
     """
-    g = int(_pair_scores([s], [x], cutoff).g[0, 0])
+    g = int(_pair_scores([s, x], cutoff).g[0, 1])
     return PhiScore(s_id=s.oss_id, x_id=x.oss_id, g_size=g, x_size=len(x.entries))
 
 
@@ -161,21 +150,16 @@ def check_prime(
 
 
 def _segment(
-    subjects: Sequence[OssSignature],
-    others: Sequence[OssSignature] | None,
-    theta: Fraction,
-    cutoff: int,
+    sigs: Sequence[OssSignature], theta: Fraction, cutoff: int
 ) -> list[SegmentationResult]:
-    """Members and application code of each subject against `others`
-    (None: against the other subjects)."""
-    targets = subjects if others is None else others
-    left, m, g = _pair_scores(subjects, others, cutoff)
+    """Members and application code of each signature against the others."""
+    left, m, g = _pair_scores(sigs, cutoff)
     member = np.zeros(g.shape, dtype=bool)
     for k, x in zip(*np.nonzero(g)):
-        member[k, x] = Fraction(int(g[k, x]), len(targets[x].entries)) >= theta
+        member[k, x] = Fraction(int(g[k, x]), len(sigs[x].entries)) >= theta
     removed = np.zeros(len(left), dtype=bool)
     removed[m.left[member[left.owners[m.left], m.owner]]] = True
-    app: list[list[str]] = [[] for _ in subjects]
+    app: list[list[str]] = [[] for _ in sigs]
     for owner, h, gone in zip(left.owners.tolist(), left.hashes, removed.tolist()):
         if not gone:
             app[owner].append(h.digest)
@@ -183,10 +167,10 @@ def _segment(
         SegmentationResult(
             oss_id=s.oss_id,
             is_prime=not member[k].any(),
-            members=frozenset(targets[x].oss_id for x in np.flatnonzero(member[k])),
+            members=frozenset(sigs[x].oss_id for x in np.flatnonzero(member[k])),
             app_entry_hashes=frozenset(app[k]),
         )
-        for k, s in enumerate(subjects)
+        for k, s in enumerate(sigs)
     ]
 
 
@@ -199,7 +183,7 @@ def segment(
     """Application code of s: all entries when prime, otherwise the
     entries minus everything matched to any possible member."""
     others = [x for x in db.sorted_signatures() if x.oss_id != s.oss_id]
-    return _segment([s], others, check_theta(theta), cutoff)[0]
+    return _segment([s, *others], check_theta(theta), cutoff)[0]
 
 
 def segment_all(
@@ -210,7 +194,7 @@ def segment_all(
     """Segment every signature against the unsegmented originals, in one
     DB-wide matching pass that scans each pair of entries once."""
     sigs = db.sorted_signatures()
-    results = _segment(sigs, None, check_theta(theta), cutoff)
+    results = _segment(sigs, check_theta(theta), cutoff)
     return {r.oss_id: r for r in results}
 
 

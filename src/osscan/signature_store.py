@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import fingerprint
-from .extractor import RawFunction, extract_from_source, extract_functions
+from .extractor import extract_functions
 from .fingerprint import FuncHash
 
 logger = logging.getLogger(__name__)
@@ -63,10 +63,6 @@ class SignatureEntry:
     hash: FuncHash
     versions: set[int]
     paths: dict[int, set[str]]
-
-    @property
-    def bin_index(self) -> int:
-        return len(self.versions)
 
 
 @dataclass
@@ -142,35 +138,12 @@ def _check_version_order(versions: Sequence[VersionMeta]) -> None:
         raise SignatureError("versions must be ordered by release date then version id")
 
 
-def build_signature_from_sources(
-    oss_id: str,
-    versions: Sequence[tuple[VersionMeta, Sequence[tuple[str, bytes]]]],
-) -> OssSignature:
-    """Build a signature from in-memory (path, file bytes) version listings."""
-    raw_versions = [
-        (meta, [fn for path, data in files for fn in extract_from_source(path, data)])
-        for meta, files in versions
-    ]
-    return _build_from_extracted(oss_id, raw_versions)
-
-
 def build_signature(
     oss_id: str,
     versions: Sequence[tuple[VersionMeta, str | Path]],
-    language_filter: set[str] | None = None,
 ) -> OssSignature:
     """Extract, normalize and hash every version tree, merging identical
     functions across versions into single entries."""
-    raw_versions = [
-        (meta, extract_functions(tree, language_filter)) for meta, tree in versions
-    ]
-    return _build_from_extracted(oss_id, raw_versions)
-
-
-def _build_from_extracted(
-    oss_id: str,
-    versions: Sequence[tuple[VersionMeta, list[RawFunction]]],
-) -> OssSignature:
     if not _OSS_ID_RE.match(oss_id):
         raise SignatureError(f"invalid oss_id {oss_id!r}")
     if not versions:
@@ -180,8 +153,8 @@ def _build_from_extracted(
 
     entries: dict[FuncHash, SignatureEntry] = {}
     total = 0
-    for meta, functions in versions:
-        for path, func_hash in fingerprint.hash_raw_functions(functions):
+    for meta, tree in versions:
+        for path, func_hash in fingerprint.hash_raw_functions(extract_functions(tree)):
             total += 1
             entry = entries.get(func_hash)
             if entry is None:
@@ -192,6 +165,45 @@ def _build_from_extracted(
     if total == 0:
         raise SignatureError(f"empty OSS: {oss_id} has no extractable functions")
     return OssSignature(oss_id=oss_id, version_meta=list(metas), entries=entries)
+
+
+def _read_corpus_meta(oss_dir: Path) -> dict[str, datetime.date]:
+    dates: dict[str, datetime.date] = {}
+    meta_path = oss_dir / "meta.tsv"
+    if not meta_path.is_file():
+        return dates
+    for lineno, line in enumerate(meta_path.read_text(encoding="utf-8").splitlines(), 1):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{meta_path}:{lineno}: expected 'version_id<TAB>date'")
+        dates[parts[0]] = datetime.date.fromisoformat(parts[1])
+    return dates
+
+
+def build_component(oss_dir: str | Path) -> OssSignature:
+    """Build the signature of one corpus component: `oss_dir` holds one
+    directory per version and an optional `meta.tsv` of
+    `version_id<TAB>YYYY-MM-DD` release dates.  A version without a date
+    is dated EPOCH_DATE, with a warning."""
+    oss_dir = Path(oss_dir)
+    dates = _read_corpus_meta(oss_dir)
+    version_dirs = sorted(p for p in oss_dir.iterdir() if p.is_dir())
+    if not version_dirs:
+        raise SignatureError(f"empty OSS: {oss_dir.name} has no version directories")
+    pairs = []
+    for version_dir in version_dirs:
+        if version_dir.name in dates:
+            release = dates[version_dir.name]
+        else:
+            logger.warning(
+                "%s: no release date for %s, using %s",
+                oss_dir.name, version_dir.name, EPOCH_DATE.isoformat(),
+            )
+            release = EPOCH_DATE
+        pairs.append((version_dir.name, release))
+    by_id = {p.name: p for p in version_dirs}
+    versions = [(meta, by_id[meta.version_id]) for meta in make_version_meta(pairs)]
+    return build_signature(oss_dir.name, versions)
 
 
 def birth(entry: SignatureEntry, sig: OssSignature) -> datetime.date:

@@ -4,9 +4,9 @@ This is a self-contained implementation of the classic TLSH variant with
 128 buckets, a 1-byte checksum and a 70-hex-character digest, accepting
 inputs of 50 bytes or more.  A digest encodes a header (checksum, length
 bucket, quartile ratios) plus a 32-byte body derived from quartile-coded
-Pearson bucket counts; `diff` scores two digests and `diffxlen` does the
-same while ignoring the length component, so that truncated or extended
-variants of the same code are not penalised for their size.
+Pearson bucket counts; `diffxlen` scores two digests while ignoring the
+length component, so that truncated or extended variants of the same code
+are not penalised for their size.
 
 Inputs that are long enough but carry too little byte-level variation
 (more than half of the buckets empty, or a zero upper quartile) cannot be
@@ -206,11 +206,8 @@ def _mod_diff(x: int, y: int, r: int) -> int:
     return min(d, r - d)
 
 
-def _score(a: _Parts, b: _Parts, include_len: bool) -> int:
+def _score(a: _Parts, b: _Parts) -> int:
     total = 0
-    if include_len:
-        ld = _mod_diff(a.lvalue, b.lvalue, 256)
-        total += ld if ld <= 1 else ld * 12
     for qa, qb in ((a.q1_ratio, b.q1_ratio), (a.q2_ratio, b.q2_ratio)):
         qd = _mod_diff(qa, qb, 16)
         total += qd if qd <= 1 else (qd - 1) * 12
@@ -222,14 +219,9 @@ def _score(a: _Parts, b: _Parts, include_len: bool) -> int:
     return total
 
 
-def diff(d1: str, d2: str) -> int:
-    """Distance between two digests, length component included."""
-    return _score(_decode(d1), _decode(d2), include_len=True)
-
-
 def diffxlen(d1: str, d2: str) -> int:
     """Distance between two digests, ignoring the length component."""
-    return _score(_decode(d1), _decode(d2), include_len=False)
+    return _score(_decode(d1), _decode(d2))
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@ from __future__ import annotations
 import datetime
 import hashlib
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from osscan import evalkit, segmenter, signature_store
+from osscan import detector, evalkit, segmenter, signature_store
 from osscan.signature_store import ComponentDb
 
 
@@ -50,17 +51,28 @@ def build_sig_from_specs(
         [(vid, date(day)) for vid, day, _ in versions]
     )
     by_id = {vid: files for vid, _, files in versions}
-    sources = [
-        (
-            meta,
-            [
-                (path, source_file(tags))
-                for path, tags in sorted(by_id[meta.version_id].items())
-            ],
-        )
-        for meta in metas
-    ]
-    return signature_store.build_signature_from_sources(oss_id, sources)
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = [
+            (
+                meta,
+                write_tree(
+                    Path(tmp) / meta.version_id,
+                    {path: source_file(tags) for path, tags in by_id[meta.version_id].items()},
+                ),
+            )
+            for meta in metas
+        ]
+        return signature_store.build_signature(oss_id, trees)
+
+
+def fingerprint_files(
+    target_id: str, files: list[tuple[str, bytes]]
+) -> detector.TargetFingerprint:
+    """Fingerprint a target tree made of (path, bytes) files."""
+    tree = dict(files)
+    assert len(tree) == len(files), "duplicate target path"
+    with tempfile.TemporaryDirectory() as tmp:
+        return detector.fingerprint_target(write_tree(Path(tmp), tree), target_id=target_id)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,14 @@ from osscan import detector, evalkit, segmenter
 from osscan.cli import main as cli_main
 from osscan.detector import DetectorConfig, patterns_from_counts
 from osscan.segmenter import common_functions, compute_phi
-from osscan.signature_store import ComponentDb, birth, dedup_ratio, load_db, save_db
+from osscan.signature_store import (
+    ComponentDb,
+    birth,
+    build_component,
+    dedup_ratio,
+    load_db,
+    save_db,
+)
 
 from oracles import (
     brute_app,
@@ -45,10 +52,8 @@ def env(tmp_path_factory) -> dict:
     started = time.monotonic()
     bundle = evalkit.generate_corpus(seed=SEED, out_dir=root)
     db = ComponentDb()
-    from osscan.cli import _build_one
-
     for oss_id, oss_dir in bundle.manifest:
-        db.signatures[oss_id] = _build_one(oss_dir, CUTOFF)
+        db.signatures[oss_id] = build_component(oss_dir)
     segmenter.apply_segmentation(db, segmenter.segment_all(db, THETA, CUTOFF))
 
     cfg = DetectorConfig(theta=THETA, cutoff=CUTOFF)
@@ -212,12 +217,10 @@ def test_criterion_5_reuse_pattern_rows(env):
 def test_criterion_6_bruteforce_oracle_equivalence(tmp_path):
     shape = evalkit.CorpusShape(n_standalone=3, short_func_rate=0.5)
     bundle = evalkit.generate_corpus(seed=77, out_dir=tmp_path, shape=shape)
-    from osscan.cli import _build_one
-
     db = ComponentDb()
     tables = {}
     for oss_id, oss_dir in bundle.manifest:
-        db.signatures[oss_id] = _build_one(oss_dir, CUTOFF)
+        db.signatures[oss_id] = build_component(oss_dir)
         tables[oss_id] = naive_table_for_dir(Path(oss_dir))
     total_functions = sum(len(t.hashes()) for t in tables.values())
     assert total_functions <= 500
@@ -245,12 +248,12 @@ def test_criterion_6_bruteforce_oracle_equivalence(tmp_path):
                 tables[s_id], tables[x_id], CUTOFF
             )
 
-    # segmentation
+    # segmentation; the brute-force app sets are reused by the checks below
     results = segmenter.segment_all(db, THETA, CUTOFF)
     segmenter.apply_segmentation(db, results)
+    brute_apps = {oss_id: brute_app(tables[oss_id], tables, THETA, CUTOFF) for oss_id in ids}
     for oss_id in ids:
-        expected_app = brute_app(tables[oss_id], tables, THETA, CUTOFF)
-        assert {h for h in db.signatures[oss_id].app_entries} == expected_app
+        assert {h for h in db.signatures[oss_id].app_entries} == brute_apps[oss_id]
 
     # detection scores and version argmax
     cfg = DetectorConfig(theta=THETA, cutoff=CUTOFF)
@@ -263,12 +266,10 @@ def test_criterion_6_bruteforce_oracle_equivalence(tmp_path):
             for scored in detector.score_components(t, db, CUTOFF)
         }
         for oss_id, scored in by_id.items():
-            app = brute_app(tables[oss_id], tables, THETA, CUTOFF)
-            assert scored.phi == brute_component_score(target_hashes, app, CUTOFF)
+            assert scored.phi == brute_component_score(target_hashes, brute_apps[oss_id], CUTOFF)
             compared_scores += 1
         for report in detector.identify_components(t, db, cfg):
-            app = brute_app(tables[report.oss_id], tables, THETA, CUTOFF)
-            matched = set(brute_pair(app, target_hashes, CUTOFF))
+            matched = set(brute_pair(brute_apps[report.oss_id], target_hashes, CUTOFF))
             vote, _ = brute_version_vote(matched, tables[report.oss_id])
             assert report.version_id == vote
             compared_votes += 1

@@ -192,10 +192,8 @@ def test_partial_plant_keeps_exact_count():
 def test_exact_plants_are_path_verified(tmp_path: Path):
     bundle = generate_corpus(seed=13, out_dir=tmp_path, shape=SMALL)
     db = signature_store.ComponentDb()
-    from osscan.cli import _build_one
-
     for oss_id, oss_dir in bundle.manifest:
-        db.signatures[oss_id] = _build_one(oss_dir, 30)
+        db.signatures[oss_id] = signature_store.build_component(oss_dir)
     segmenter.apply_segmentation(db, segmenter.segment_all(db))
     component_dirs = dict(bundle.manifest)
     for tid, plants in bundle.ground_truth.plants.items():

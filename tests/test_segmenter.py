@@ -4,6 +4,7 @@ import copy
 import datetime
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,7 @@ from osscan.segmenter import (
 )
 from osscan.signature_store import ComponentDb
 
-from conftest import build_sig_from_specs
+from conftest import build_sig_from_specs, write_tree
 from oracles import brute_pair
 
 
@@ -54,7 +55,7 @@ def test_common_functions_shared_digests():
         assert pair.distance == 0
 
 
-def test_common_functions_matches_bruteforce_with_similars():
+def test_common_functions_matches_bruteforce_with_similars(tmp_path: Path):
     from osscan import evalkit
 
     rng = random.Random(4)
@@ -65,15 +66,18 @@ def test_common_functions_matches_bruteforce_with_similars():
         assert variant is not None
         variants.append(variant)
 
-    s = signature_store.build_signature_from_sources(
-        "s",
-        [(signature_store.make_version_meta([("v1", datetime.date(2020, 1, 1))])[0],
-          [("s.c", b"\n\n".join(bodies) + b"\n")])],
+    s_tree = write_tree(tmp_path / "s", {"s.c": b"\n\n".join(bodies) + b"\n"})
+    x_tree = write_tree(
+        tmp_path / "x",
+        {"x.c": b"\n\n".join(variants + [evalkit.make_body(rng, "xonly")]) + b"\n"},
     )
-    x = signature_store.build_signature_from_sources(
+    s = signature_store.build_signature(
+        "s",
+        [(signature_store.make_version_meta([("v1", datetime.date(2020, 1, 1))])[0], s_tree)],
+    )
+    x = signature_store.build_signature(
         "x",
-        [(signature_store.make_version_meta([("v1", datetime.date(2019, 1, 1))])[0],
-          [("x.c", b"\n\n".join(variants + [evalkit.make_body(rng, "xonly")]) + b"\n")])],
+        [(signature_store.make_version_meta([("v1", datetime.date(2019, 1, 1))])[0], x_tree)],
     )
     pairs = common_functions(s, x, cutoff=30)
     expected = brute_pair(set(s.entries), set(x.entries), cutoff=30)

@@ -14,7 +14,6 @@ from osscan.signature_store import (
     SignatureError,
     birth,
     build_signature,
-    build_signature_from_sources,
     dedup_ratio,
     load_db,
     make_version_meta,
@@ -80,16 +79,18 @@ def test_empty_oss_rejected(tmp_path: Path):
         build_signature("hollow", [(metas[0], tmp_path / "v1")])
 
 
-def test_bad_ordinals_rejected():
+def test_bad_ordinals_rejected(tmp_path: Path):
+    tree = write_tree(tmp_path / "v1", {"a.c": source_file(["x"])})
     meta = signature_store.VersionMeta("v1", date("2020-01-01"), ordinal=1)
     with pytest.raises(SignatureError, match="ordinals"):
-        build_signature_from_sources("bad", [(meta, [("a.c", source_file(["x"]))])])
+        build_signature("bad", [(meta, tree)])
 
 
-def test_invalid_oss_id_rejected():
+def test_invalid_oss_id_rejected(tmp_path: Path):
+    tree = write_tree(tmp_path / "v1", {"a.c": source_file(["x"])})
     metas = make_version_meta([("v1", date("2020-01-01"))])
     with pytest.raises(SignatureError, match="invalid oss_id"):
-        build_signature_from_sources("no/slash", [(metas[0], [("a.c", source_file(["x"]))])])
+        build_signature("no/slash", [(metas[0], tree)])
 
 
 def test_five_version_signature_matches_naive_oracle(tmp_path: Path):
