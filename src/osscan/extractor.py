@@ -1,7 +1,12 @@
 """C/C++ function extraction and text normalization.
 
-The scanner is a regex/brace-balance pass over a masked copy of each file,
-so it needs no external parser.  It captures definitions of the shape
+Each file is lexed without an external parser, in linear time.  Two regex
+substitutions build a masked copy of the same length: the first blanks
+comments and the contents of string and character literals, the second
+blanks preprocessor lines with their backslash continuations.  Only CR
+and LF survive blanking, so offsets and line numbers carry over.  One pass
+over the masked brackets then pairs each ``(`` with its ``)`` and each
+``{`` with its ``}``.  The scanner captures definitions of the shape
 
     name ( parameter-list ) decl-suffix { body }
 
@@ -38,8 +43,31 @@ logger = logging.getLogger(__name__)
 DEFAULT_EXTENSIONS = frozenset({".c", ".cc", ".cpp", ".cxx", ".h", ".hh", ".hpp"})
 
 _WS = frozenset(b" \t\r\n")
-_SLASH, _STAR, _DQUOTE, _SQUOTE, _BACKSLASH = 0x2F, 0x2A, 0x22, 0x27, 0x5C
-_LF, _CR = 0x0A, 0x0D
+
+# Literals are written unrolled ("[^"\\]*(?:\\.[^"\\]*)*"): the alternation
+# form (?:\\.|[^"\\])* keeps a backtracking frame per byte (120 MB for one
+# 1 MB literal), the unrolled one only per escape.  The mask blanks a lone
+# backslash at end of input as part of the literal it ends.
+_NORMALIZE_RE = re.compile(
+    rb"""/[ \t\r\n]*(?:/[^\r\n]*|\*.*?(?:\*/|\Z))  # comment, opener may be split
+    |[ \t\r\n]+
+    |("[^"\\]*(?:\\.[^"\\]*)*"?|'[^'\\]*(?:\\.[^'\\]*)*'?)""",
+    re.S | re.X,
+)
+# what a literal keeps: findall skips whitespace and a backslash escaping it
+_LITERAL_KEEP_RE = re.compile(rb"[^\\ \t\r\n]+|\\[^ \t\r\n]")
+_MASK_RE = re.compile(
+    rb"""//[^\r\n]*|/\*.*?(?:\*/|\Z)
+    |"([^"\\]*(?:\\.[^"\\]*)*\\?)"?
+    |'([^'\\]*(?:\\.[^'\\]*)*\\?)'?""",
+    re.S | re.X,
+)
+# A line whose first non-space byte is '#', with every line that a
+# backslash before trailing spaces continues it into.  Only LF ends a line.
+_DIRECTIVE_RE = re.compile(rb"^[ \t\r\v\f]*#(?:[^\n]*\\[ \t\r\v\f]*\n)*[^\n]*", re.M)
+_BRACKET_RE = re.compile(rb"[(){}]")
+# every byte but CR and LF becomes a space, so offsets and line ends survive
+_BLANK = bytes(c if c in b"\r\n" else 0x20 for c in range(256))
 
 
 @dataclass(frozen=True)
@@ -52,6 +80,11 @@ class RawFunction:
     line_span: tuple[int, int]  # 1-based inclusive
 
 
+def _normalize_token(match: re.Match) -> bytes:
+    literal = match[1]
+    return b"" if literal is None else b"".join(_LITERAL_KEEP_RE.findall(literal))
+
+
 def normalize(body: bytes) -> bytes:
     """Strip comments and whitespace from C/C++ source text.
 
@@ -59,126 +92,45 @@ def normalize(body: bytes) -> bytes:
     stripped to end of input; an unterminated literal keeps the remainder
     as literal content.  Idempotent: normalize(normalize(x)) == normalize(x).
     """
-    out = bytearray()
-    n = len(body)
-    i = 0
-    while i < n:
-        c = body[i]
-        if c == _SLASH:
-            j = i + 1
-            while j < n and body[j] in _WS:
-                j += 1
-            if j < n and body[j] == _SLASH:  # line comment, runs to end of line
-                i = j + 1
-                while i < n and body[i] not in (_LF, _CR):
-                    i += 1
-                continue
-            if j < n and body[j] == _STAR:  # block comment
-                end = body.find(b"*/", j + 1)
-                i = n if end < 0 else end + 2
-                continue
-            out.append(c)
-            i += 1
-            continue
-        if c in _WS:
-            i += 1
-            continue
-        if c == _DQUOTE or c == _SQUOTE:
-            quote = c
-            out.append(c)
-            i += 1
-            while i < n:
-                ch = body[i]
-                if ch == _BACKSLASH:
-                    if i + 1 < n:
-                        nxt = body[i + 1]
-                        if nxt in _WS:
-                            i += 2  # escaped whitespace: drop the pair
-                        else:
-                            out.append(ch)
-                            out.append(nxt)
-                            i += 2
-                        continue
-                    out.append(ch)
-                    i += 1
-                    continue
-                if ch in _WS:
-                    i += 1
-                    continue
-                out.append(ch)
-                i += 1
-                if ch == quote:
-                    break
-            continue
-        out.append(c)
-        i += 1
-    return bytes(out)
+    return _NORMALIZE_RE.sub(_normalize_token, body)
 
 
-def _mask_structure(data: bytes) -> bytearray:
-    """Blank comments and literal contents, keeping offsets and newlines."""
-    masked = bytearray(data)
-    n = len(data)
-    i = 0
-    while i < n:
-        c = data[i]
-        if c == _SLASH and i + 1 < n:
-            nxt = data[i + 1]
-            if nxt == _SLASH:
-                j = i
-                while j < n and data[j] not in (_LF, _CR):
-                    masked[j] = 0x20
-                    j += 1
-                i = j
-                continue
-            if nxt == _STAR:
-                end = data.find(b"*/", i + 2)
-                stop = n if end < 0 else end + 2
-                for j in range(i, stop):
-                    if data[j] not in (_LF, _CR):
-                        masked[j] = 0x20
-                i = stop
-                continue
-        if c == _DQUOTE or c == _SQUOTE:
-            quote = c
-            i += 1
-            while i < n:
-                ch = data[i]
-                if ch == _BACKSLASH and i + 1 < n:
-                    masked[i] = 0x20
-                    if data[i + 1] not in (_LF, _CR):
-                        masked[i + 1] = 0x20
-                    i += 2
-                    continue
-                if ch == quote:
-                    i += 1
-                    break
-                if ch not in (_LF, _CR):
-                    masked[i] = 0x20
-                i += 1
-            continue
-        i += 1
-    return masked
+def _blank(match: re.Match) -> bytes:
+    return match[0].translate(_BLANK)
 
 
-def _mask_directives(masked: bytearray) -> bytearray:
-    """Blank preprocessor lines (with backslash continuations)."""
-    out = bytearray(masked)
-    lines = bytes(masked).split(b"\n")
-    offset = 0
-    in_continuation = False
-    for line in lines:
-        stripped = line.lstrip()
-        blank = in_continuation or stripped.startswith(b"#")
-        if blank:
-            for j in range(offset, offset + len(line)):
-                if out[j] != _CR:
-                    out[j] = 0x20
-            in_continuation = line.rstrip().endswith(b"\\")
+def _mask_token(match: re.Match) -> bytes:
+    """Blank a comment whole and a literal between its quotes."""
+    if match.lastindex is None:
+        return _blank(match)
+    text, inner = match[0], match[match.lastindex]
+    return text[:1] + inner.translate(_BLANK) + text[1 + len(inner) :]
+
+
+def _mask(data: bytes) -> bytes:
+    """Blank comments, literal contents and preprocessor lines."""
+    return _DIRECTIVE_RE.sub(_blank, _MASK_RE.sub(_mask_token, data))
+
+
+def _bracket_table(masked: bytes) -> dict[int, int]:
+    """Offset of each closed '(' or '{' -> offset of its closing bracket.
+
+    Parens and braces nest independently of each other."""
+    table: dict[int, int] = {}
+    parens: list[int] = []
+    braces: list[int] = []
+    for match in _BRACKET_RE.finditer(masked):
+        pos = match.start()
+        c = masked[pos]
+        if c == 0x28:  # (
+            parens.append(pos)
+        elif c == 0x7B:  # {
+            braces.append(pos)
         else:
-            in_continuation = False
-        offset += len(line) + 1
-    return out
+            stack = parens if c == 0x29 else braces
+            if stack:
+                table[stack.pop()] = pos
+    return table
 
 
 _CANDIDATE_RE = re.compile(rb"([A-Za-z_][A-Za-z0-9_]*)\s*\(")
@@ -187,19 +139,6 @@ _BLOCKED_NAMES = frozenset(
     b"defined typeof __typeof__ static_assert _Static_assert throw new delete".split()
 )
 _ACCESS_LABEL_RE = re.compile(rb"\A(?:(?:public|protected|private|signals|slots)\s*:\s*)+")
-
-
-def _match_paren(masked: bytes, open_pos: int) -> int:
-    depth = 0
-    for i in range(open_pos, len(masked)):
-        c = masked[i]
-        if c == 0x28:  # (
-            depth += 1
-        elif c == 0x29:  # )
-            depth -= 1
-            if depth == 0:
-                return i
-    return -1
 
 
 def _find_body_open(masked: bytes, start: int) -> int:
@@ -221,19 +160,6 @@ def _find_body_open(masked: bytes, start: int) -> int:
     return -1
 
 
-def _match_brace(masked: bytes, open_pos: int) -> int:
-    depth = 0
-    for i in range(open_pos, len(masked)):
-        c = masked[i]
-        if c == 0x7B:
-            depth += 1
-        elif c == 0x7D:
-            depth -= 1
-            if depth == 0:
-                return i
-    return -1
-
-
 def _decl_start(masked: bytes, name_start: int) -> int:
     i = name_start - 1
     while i >= 0 and masked[i] not in (0x3B, 0x7B, 0x7D):  # ; { }
@@ -249,43 +175,35 @@ def _decl_start(masked: bytes, name_start: int) -> int:
 
 def extract_from_source(file_path: str, data: bytes) -> list[RawFunction]:
     """Extract function definitions from one file's bytes."""
-    structure = _mask_structure(data)
-    masked = bytes(_mask_directives(structure))
+    masked = _mask(data)
+    closer = _bracket_table(masked)
     results: list[RawFunction] = []
     pos = 0
+    line, line_pos = 1, 0  # line number at offset line_pos; definitions come in order
     while True:
         match = _CANDIDATE_RE.search(masked, pos)
         if match is None:
             break
         name = match.group(1)
-        if name in _BLOCKED_NAMES:
-            pos = match.end()
-            continue
-        close = _match_paren(masked, match.end() - 1)
-        if close < 0:
-            pos = match.end()
-            continue
-        body_open = _find_body_open(masked, close + 1)
-        if body_open < 0:
-            pos = match.end()
-            continue
-        body_close = _match_brace(masked, body_open)
-        if body_close < 0:
+        close = None if name in _BLOCKED_NAMES else closer.get(match.end() - 1)
+        body_open = -1 if close is None else _find_body_open(masked, close + 1)
+        body_close = closer.get(body_open)
+        if body_close is None:
             pos = match.end()
             continue
         if body_close - body_open - 1 < 1:  # empty body
             pos = body_close + 1
             continue
         start = _decl_start(masked, match.start())
-        body = data[start : body_close + 1]
-        start_line = data.count(b"\n", 0, start) + 1
-        end_line = data.count(b"\n", 0, body_close) + 1
+        start_line = line + data.count(b"\n", line_pos, start)
+        line = start_line + data.count(b"\n", start, body_close)
+        line_pos = body_close
         results.append(
             RawFunction(
                 file_path=file_path,
                 name=name.decode("ascii", errors="replace"),
-                body=body,
-                line_span=(start_line, end_line),
+                body=data[start : body_close + 1],
+                line_span=(start_line, line),
             )
         )
         pos = body_close + 1

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -289,3 +291,106 @@ def test_paths_are_posix_relative(tmp_path: Path):
     funcs = extract_functions(tmp_path)
     assert funcs[0].file_path == "deep/dir/x.c"
     assert not funcs[0].file_path.startswith("/")
+
+
+# --- lexer edge rules ----------------------------------------------------
+
+
+def test_lone_backslash_ends_unterminated_literal():
+    assert normalize(b'x = "a b\\') == b'x="ab\\'
+    src = b'int f(void) { return 1; }\nconst char *s = "{ \\'
+    assert [f.name for f in extract_from_source("a.c", src)] == ["f"]
+
+
+def test_escaped_whitespace_in_literal():
+    assert normalize(b's = "\\ ";') == b's="";'
+    assert normalize(b's = "\\\\ x";') == b's="\\\\x";'  # escaped backslash, then a space
+    src = b'const char *s = "\\ ";\nint f(void) { return 1; }\n'
+    assert [(f.name, f.line_span) for f in extract_from_source("a.c", src)] == [("f", (2, 2))]
+
+
+def test_split_comment_opener_only_in_normalize():
+    assert normalize(b"a /\n/ b\nc") == b"ac"
+    # the extractor's mask does not join "/" and "/" across whitespace
+    src = b"int a = 4 /\n/ 2;\nint f(void) { return 1; }\n"
+    assert [f.name for f in extract_from_source("a.c", src)] == ["f"]
+
+
+def test_block_comment_cannot_close_on_its_own_opener():
+    assert normalize(b"a /*/ b") == b"a"
+    assert normalize(b"a /*/ b */ c") == b"ac"
+    src = b"int f(void) { return 1; }\n/*/ int g(void) { return 2; }\n"
+    assert [f.name for f in extract_from_source("a.c", src)] == ["f"]
+    src = b"/*/ x */ int g(void) { return 2; }\n"
+    assert [f.name for f in extract_from_source("a.c", src)] == ["g"]
+
+
+def test_vertical_tab_and_form_feed_before_directive():
+    src = b"\x0b#define F(x) { return x; }\n\x0c #define G(y) { return y; }\n"
+    assert extract_from_source("a.c", src) == []
+
+
+def test_cr_only_line_ends():
+    assert normalize(b"a // c\rb") == b"ab"
+    src = b"// note\rint f(void)\r{\r    return 1;\r}\r"
+    funcs = extract_from_source("a.c", src)
+    assert [(f.name, f.line_span) for f in funcs] == [("f", (1, 1))]  # only LF counts lines
+    assert funcs[0].body == b"int f(void)\r{\r    return 1;\r}"
+
+
+def test_directive_continued_over_three_lines():
+    src = b"#define F(x) \\\n    { \\ \t\n    return x; }\nint f(void) { return 1; }\n"
+    assert [(f.name, f.line_span) for f in extract_from_source("a.c", src)] == [("f", (4, 4))]
+
+
+_LEXER_BYTES = st.lists(
+    st.sampled_from(
+        [b"/", b"*", b'"', b"'", b"\\", b" ", b"\r", b"\n", b"\x0b", b"#", b"(", b")",
+         b"{", b"}", b";", b"=", b"f", b"int", b"if", b"public:", b"x", b"\x80"]
+    ),
+    max_size=60,
+).map(b"".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=200), _LEXER_BYTES))
+def test_extract_never_raises_and_bodies_are_slices(data: bytes):
+    cursor = 0
+    for f in extract_from_source("a.c", data):
+        at = data.index(f.body, cursor)
+        cursor = at + len(f.body)
+        assert f.body.endswith(b"}")
+        assert f.name.encode() in f.body
+        assert 1 <= f.line_span[0] <= f.line_span[1]
+        assert f.line_span[1] - f.line_span[0] == f.body.count(b"\n")
+
+
+def test_unclosed_parens_cost_linear_time():
+    start = time.perf_counter()
+    assert extract_from_source("a.c", b"f(" * 8000) == []
+    assert time.perf_counter() - start < 1.0
+
+
+def test_many_functions_in_one_file_cost_linear_time():
+    src = b"".join(
+        b"static int fn%d(int a, int b)\n{\n    return a * %d + b;\n}\n\n" % (i, i)
+        for i in range(16000)
+    )
+    start = time.perf_counter()
+    funcs = extract_from_source("big.c", src)
+    assert time.perf_counter() - start < 5.0
+    assert len(funcs) == 16000
+    assert funcs[-1].name == "fn15999"
+    assert funcs[-1].line_span == (5 * 15999 + 1, 5 * 15999 + 4)
+
+
+def test_unterminated_literal_memory_is_bounded():
+    data = b'int f(void) { return 1; }\n"' + b"x" * 1_000_000
+    tracemalloc.start()
+    try:
+        funcs = extract_from_source("a.c", data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [f.name for f in funcs] == ["f"]
+    assert peak < 16 * 1024 * 1024
