@@ -46,8 +46,7 @@ _WS = frozenset(b" \t\r\n")
 
 # Literals are written unrolled ("[^"\\]*(?:\\.[^"\\]*)*"): the alternation
 # form (?:\\.|[^"\\])* keeps a backtracking frame per byte (120 MB for one
-# 1 MB literal), the unrolled one only per escape.  The mask blanks a lone
-# backslash at end of input as part of the literal it ends.
+# 1 MB literal), the unrolled one only per escape.
 _NORMALIZE_RE = re.compile(
     rb"""/[ \t\r\n]*(?:/[^\r\n]*|\*.*?(?:\*/|\Z))  # comment, opener may be split
     |[ \t\r\n]+
@@ -56,14 +55,17 @@ _NORMALIZE_RE = re.compile(
 )
 # what a literal keeps: findall skips whitespace and a backslash escaping it
 _LITERAL_KEEP_RE = re.compile(rb"[^\\ \t\r\n]+|\\[^ \t\r\n]")
+# The mask also ends a literal at a line end no backslash escapes, as a
+# compiler does, so a stray quote ("#error don't") cannot hide the rest of
+# the file.  normalize keeps literals open: its idempotence needs that.
 _MASK_RE = re.compile(
     rb"""//[^\r\n]*|/\*.*?(?:\*/|\Z)
-    |"([^"\\]*(?:\\.[^"\\]*)*\\?)"?
-    |'([^'\\]*(?:\\.[^'\\]*)*\\?)'?""",
+    |"([^"\\\r\n]*(?:\\(?:\r\n|.)[^"\\\r\n]*)*\\?)"?
+    |'([^'\\\r\n]*(?:\\(?:\r\n|.)[^'\\\r\n]*)*\\?)'?""",
     re.S | re.X,
 )
-# A line whose first non-space byte is '#', with every line that a
-# backslash before trailing spaces continues it into.  Only LF ends a line.
+# A '#' line and the lines that backslashes before trailing spaces continue
+# it into; only LF ends a line.
 _DIRECTIVE_RE = re.compile(rb"^[ \t\r\v\f]*#(?:[^\n]*\\[ \t\r\v\f]*\n)*[^\n]*", re.M)
 _BRACKET_RE = re.compile(rb"[(){}]")
 # every byte but CR and LF becomes a space, so offsets and line ends survive
@@ -113,9 +115,7 @@ def _mask(data: bytes) -> bytes:
 
 
 def _bracket_table(masked: bytes) -> dict[int, int]:
-    """Offset of each closed '(' or '{' -> offset of its closing bracket.
-
-    Parens and braces nest independently of each other."""
+    """Offset of each closed '(' or '{' -> offset of its closer; the kinds nest apart."""
     table: dict[int, int] = {}
     parens: list[int] = []
     braces: list[int] = []

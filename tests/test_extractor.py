@@ -343,6 +343,19 @@ def test_directive_continued_over_three_lines():
     assert [(f.name, f.line_span) for f in extract_from_source("a.c", src)] == [("f", (4, 4))]
 
 
+def test_stray_quote_ends_at_line_end():
+    src = b"#error don't\nint f(void) { return 1; }\n"
+    assert [f.name for f in extract_from_source("a.c", src)] == ["f"]
+    src = b"#if 0\nit's { here\n#endif\nint g(void) { return 2; }\n"
+    assert [f.name for f in extract_from_source("a.c", src)] == ["g"]
+    # an escaped line end continues the literal, also after CR LF
+    for eol in (b"\n", b"\r\n"):
+        src = b'const char *s = "a \\' + eol + b' { b";\nint h(void) { return 3; }\n'
+        assert [f.name for f in extract_from_source("a.c", src)] == ["h"]
+    # normalize keeps a literal open across lines
+    assert normalize(b"x = 'it\n// s") == b"x='it//s"
+
+
 _LEXER_BYTES = st.lists(
     st.sampled_from(
         [b"/", b"*", b'"', b"'", b"\\", b" ", b"\r", b"\n", b"\x0b", b"#", b"(", b")",
