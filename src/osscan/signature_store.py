@@ -1,8 +1,8 @@
 """Redundancy-eliminated component signatures and their on-disk database.
 
 An OSS signature stores each distinct normalized function exactly once,
-recording the set of version ordinals it appears in plus every path it
-occupies per version; the number of versions an entry belongs to is its
+recording every path it occupies in each version it appears in; the
+versions are the keys of that map, and their number is the entry's
 conceptual bin.  This is lossless with respect to the naive per-version
 table: expanding entries back to (version, hash, path) triples reproduces
 the plain extraction exactly.
@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, KeysView, Sequence
 
 from . import fingerprint
 from .extractor import extract_functions
@@ -61,8 +61,12 @@ class VersionMeta:
 @dataclass
 class SignatureEntry:
     hash: FuncHash
-    versions: set[int]
-    paths: dict[int, set[str]]
+    paths: dict[int, set[str]]  # version ordinal -> the entry's paths in that version
+
+    @property
+    def versions(self) -> KeysView[int]:
+        """Ordinals of the versions containing the entry."""
+        return self.paths.keys()
 
 
 @dataclass
@@ -158,9 +162,8 @@ def build_signature(
             total += 1
             entry = entries.get(func_hash)
             if entry is None:
-                entry = SignatureEntry(hash=func_hash, versions=set(), paths={})
+                entry = SignatureEntry(hash=func_hash, paths={})
                 entries[func_hash] = entry
-            entry.versions.add(meta.ordinal)
             entry.paths.setdefault(meta.ordinal, set()).add(path)
     if total == 0:
         raise SignatureError(f"empty OSS: {oss_id} has no extractable functions")
@@ -332,17 +335,18 @@ def _load_entries(path: Path, n_versions: int) -> dict[FuncHash, SignatureEntry]
         try:
             doc = json.loads(line)
             func_hash = FuncHash.from_token(doc["h"])
-            versions = {int(v["o"]) for v in doc["v"]}
             paths = {int(v["o"]): set(map(str, v["p"])) for v in doc["v"]}
         except (ValueError, KeyError, TypeError) as exc:
             raise DbFormatError(f"{path}:{lineno}: corrupted entry: {exc}") from exc
-        if not versions or not all(0 <= o < n_versions for o in versions):
+        if len(paths) != len(doc["v"]):
+            raise DbFormatError(f"{path}:{lineno}: repeated version ordinal")
+        if not paths or not all(0 <= o < n_versions for o in paths):
             raise DbFormatError(f"{path}:{lineno}: version ordinal out of range")
         if any(not p for p in paths.values()):
             raise DbFormatError(f"{path}:{lineno}: empty path set")
         if func_hash in entries:
             raise DbFormatError(f"{path}:{lineno}: duplicate entry {doc['h']}")
-        entries[func_hash] = SignatureEntry(hash=func_hash, versions=versions, paths=paths)
+        entries[func_hash] = SignatureEntry(hash=func_hash, paths=paths)
     return entries
 
 

@@ -293,7 +293,7 @@ def _synthetic_sig(
     for h in hashes:
         versions = set(rng.sample(range(3), rng.randrange(1, 4)))
         entries[h] = signature_store.SignatureEntry(
-            hash=h, versions=versions, paths={o: {f"{oss_id}.c"} for o in versions}
+            hash=h, paths={o: {f"{oss_id}.c"} for o in versions}
         )
     return signature_store.OssSignature(oss_id=oss_id, version_meta=metas, entries=entries)
 

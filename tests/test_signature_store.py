@@ -267,6 +267,18 @@ def test_load_reports_corrupted_line_with_location(tmp_path: Path):
         load_db(tmp_path / "db")
 
 
+def test_load_rejects_repeated_version_ordinal(tmp_path: Path):
+    db = _two_sig_db()
+    save_db(db, tmp_path / "db")
+    sig_file = tmp_path / "db" / "alpha" / "sig.jsonl"
+    lines = sig_file.read_text().splitlines()
+    digest = lines[0].split('"')[3]
+    lines[0] = f'{{"h":"{digest}","v":[{{"o":0,"p":["a.c"]}},{{"o":0,"p":["b.c"]}}]}}'
+    sig_file.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DbFormatError, match=r"sig\.jsonl:1: repeated version ordinal"):
+        load_db(tmp_path / "db")
+
+
 def test_load_rejects_unknown_app_digest(tmp_path: Path):
     db = _two_sig_db()
     save_db(db, tmp_path / "db")
