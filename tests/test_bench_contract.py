@@ -4,8 +4,10 @@
 callers look up (for example `segmenter.match_hashes`) and runs counter
 hooks on what they return.  A wrap point that is renamed or no longer
 imported does not fail a traced benchmark run; it only reports the
-per-layer metrics that depend on it as absent.  This test runs the
-pipeline under the tracer and requires that nothing is missing or absent.
+per-layer metrics that depend on it as absent, and one that callers
+bypass reads 0.  This test runs the pipeline under the tracer and
+requires that nothing is missing or absent and that the extraction and
+hashing counters saw the work.
 """
 
 from __future__ import annotations
@@ -35,5 +37,11 @@ def test_traced_pipeline_finds_every_wrap_point(tmp_path, monkeypatch, capsys):
             t = detector.fingerprint_target(tree, target_id=tid)
             detector.render_report(detector.identify_components(t, db, cfg), "json", tid, cfg)
     assert tracer.missing == []
-    _, absent = spans.layer_metrics(tracer)
+    values, absent = spans.layer_metrics(tracer)
     assert absent == []
+    # a wrap point that is found but bypassed reads 0
+    count = {name: value for name, (value, _) in values.items()}
+    assert count["extractor.files"] > 0
+    assert count["extractor.functions"] > 0
+    assert count["tlsh.digest_calls"] > 0
+    assert count["extractor.normalize_calls"] == count["extractor.functions"]
