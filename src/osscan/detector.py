@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .extractor import extract_functions
 from .fingerprint import (
@@ -31,9 +31,6 @@ from .segmenter import DEFAULT_THETA, check_theta
 from .signature_store import ComponentDb, OssSignature, SignatureEntry
 
 logger = logging.getLogger(__name__)
-
-PATTERN_ORDER = ("E", "P", "SC", "CC")
-
 
 class DetectionError(RuntimeError):
     pass
@@ -97,13 +94,6 @@ class ScoredComponent:
     pairing: Mapping[FuncHash, tuple[FuncHash, int]]
 
 
-def _collapse(pairs: Iterable[tuple[str, FuncHash]]) -> dict[FuncHash, frozenset[str]]:
-    grouped: dict[FuncHash, set[str]] = {}
-    for path, func_hash in pairs:
-        grouped.setdefault(func_hash, set()).add(path)
-    return {h: frozenset(paths) for h, paths in grouped.items()}
-
-
 def fingerprint_target(
     tree_root: str | Path, target_id: str | None = None
 ) -> TargetFingerprint:
@@ -111,7 +101,7 @@ def fingerprint_target(
     functions = extract_functions(root)
     return TargetFingerprint(
         target_id=target_id or root.name,
-        functions=_collapse((p, h) for p, h in hash_raw_functions(functions)),
+        functions={h: frozenset(paths) for h, paths in hash_raw_functions(functions).items()},
     )
 
 

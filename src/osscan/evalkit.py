@@ -15,6 +15,7 @@ detection threshold.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -24,7 +25,7 @@ import re
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import fingerprint
 from .detector import ComponentReport
@@ -70,6 +71,20 @@ class PlantSpec:
             raise ValueError(f"mix_adjacent must be >= 1, got {self.mix_adjacent}")
 
 
+def _plant_doc(plant: PlantSpec) -> dict:
+    doc = dataclasses.asdict(plant)
+    doc["oss"] = doc.pop("oss_id")
+    return doc
+
+
+def _plant_from_doc(doc: dict) -> PlantSpec:
+    fields = dict(doc)
+    fields["oss_id"] = fields.pop("oss")
+    relocation = fields["relocation"]
+    fields["relocation"] = tuple(map(tuple, relocation)) if relocation else None
+    return PlantSpec(**fields)
+
+
 @dataclass(frozen=True)
 class GroundTruthEntry:
     oss_id: str
@@ -107,20 +122,7 @@ class GroundTruth:
                 for tid, entries in sorted(self.targets.items())
             },
             "plants": {
-                tid: [
-                    {
-                        "oss": p.oss_id,
-                        "mode": p.mode,
-                        "source_version": p.source_version,
-                        "keep_ratio": p.keep_ratio,
-                        "mutation_rate": p.mutation_rate,
-                        "relocation": [list(pair) for pair in p.relocation] if p.relocation else None,
-                        "depth": p.depth,
-                        "mix_adjacent": p.mix_adjacent,
-                    }
-                    for p in plants
-                ]
-                for tid, plants in sorted(self.plants.items())
+                tid: [_plant_doc(p) for p in plants] for tid, plants in sorted(self.plants.items())
             },
             "nested_targets": sorted(self.nested_targets),
             "unsegmented_fps": {
@@ -146,20 +148,7 @@ class GroundTruth:
             for tid, entries in doc["targets"].items()
         }
         gt.plants = {
-            tid: tuple(
-                PlantSpec(
-                    oss_id=p["oss"],
-                    mode=p["mode"],
-                    source_version=p["source_version"],
-                    keep_ratio=p["keep_ratio"],
-                    mutation_rate=p["mutation_rate"],
-                    relocation=tuple(tuple(pair) for pair in p["relocation"]) if p["relocation"] else None,
-                    depth=p["depth"],
-                    mix_adjacent=p["mix_adjacent"],
-                )
-                for p in plants
-            )
-            for tid, plants in doc["plants"].items()
+            tid: tuple(_plant_from_doc(p) for p in plants) for tid, plants in doc["plants"].items()
         }
         gt.nested_targets = frozenset(doc["nested_targets"])
         gt.unsegmented_fps = {
@@ -237,8 +226,8 @@ def _same_length_ident(rng: random.Random, length: int) -> bytes:
     return ("v_" + "".join(rng.choice(_LETTERS) for _ in range(max(1, length - 2)))).encode()
 
 
-def mutate_body(rng: random.Random, body: bytes, cutoff: int) -> bytes | None:
-    """A variant of `body` within (0, cutoff] fingerprint distance.
+def mutate_body(rng: random.Random, body: bytes) -> bytes | None:
+    """A variant of `body` within (0, DEFAULT_CUTOFF] fingerprint distance.
 
     Candidate edits, cheapest churn first: rename a rarely-used identifier
     to a same-length one, tweak a hex constant, insert one statement.
@@ -264,14 +253,27 @@ def mutate_body(rng: random.Random, body: bytes, cutoff: int) -> bytes | None:
         candidates.append(body.replace(b"    return", insert + b"    return", 1))
     for variant in candidates:
         variant_hash = fingerprint.hash_function(normalize(variant))
-        d = fingerprint.distance(base_hash, variant_hash, cutoff)
-        if 0 < d <= cutoff:
+        if 0 < fingerprint.distance(base_hash, variant_hash) <= fingerprint.DEFAULT_CUTOFF:
             return variant
     return None
 
 
 # ---------------------------------------------------------------------------
 # Synthetic projects
+
+
+def _files(
+    fids: Iterable[str], path_of: Callable[[str], str], body_of: Callable[[str], bytes]
+) -> list[tuple[str, bytes]]:
+    """(path, bytes) of the files holding `fids`, in path order; a file's
+    functions come in fid order, separated by blank lines."""
+    grouped: dict[str, list[str]] = {}
+    for fid in sorted(fids):
+        grouped.setdefault(path_of(fid), []).append(fid)
+    return [
+        (path, b"\n\n".join(body_of(f) for f in group) + b"\n")
+        for path, group in sorted(grouped.items())
+    ]
 
 
 @dataclass(frozen=True)
@@ -352,13 +354,11 @@ class Corpus:
     def render_version(self, oss_id: str, version_id: str) -> list[tuple[str, bytes]]:
         """(path, bytes) listing of one version tree, embeds vendored."""
         project = self.projects[oss_id]
-        grouped: dict[str, list[str]] = {}
-        for fid in sorted(project.members_by_version[version_id]):
-            grouped.setdefault(project.home_path[fid], []).append(fid)
-        files = [
-            (path, b"\n\n".join(project.bodies[f] for f in fids) + b"\n")
-            for path, fids in sorted(grouped.items())
-        ]
+        files = _files(
+            project.members_by_version[version_id],
+            project.home_path.__getitem__,
+            project.bodies.__getitem__,
+        )
         files.append(("README", f"{oss_id} reference notes rev-{version_id}\n".encode()))
         files.append(("LICENSE", f"{oss_id} permissive license text\n".encode()))
         for embed in project.embeds:
@@ -374,8 +374,7 @@ def _gen_project(
     base_date: datetime.date,
     n_versions: int,
     core_funcs: int,
-    generic_pool: Sequence[tuple[str, bytes]] = (),
-    generic_count: int = 0,
+    generic: Sequence[tuple[str, bytes]] = (),
     short_funcs: int = 0,
 ) -> SynthProject:
     """One multi-version project: a persistent core, functions added over
@@ -408,11 +407,9 @@ def _gen_project(
         home[fid] = "src/tiny.c"
         core.append(fid)
 
-    generic_fids: list[str] = []
-    for gid, body in list(generic_pool)[:generic_count]:
-        bodies[gid] = body
-        home[gid] = "src/common.c"
-        generic_fids.append(gid)
+    bodies.update(generic)
+    home.update((gid, "src/common.c") for gid, _ in generic)
+    generic_fids = [gid for gid, _ in generic]
 
     members: dict[str, list[str]] = {}
     carried = core + generic_fids
@@ -452,11 +449,15 @@ class CorpusShape:
     versions_max: int = 5
     core_funcs_min: int = 14
     core_funcs_max: int = 22
-    generic_pool: int = 8
-    generic_per_project: int = 2
     short_func_rate: float = 0.25
-    junk_funcs: int = 8
     include_chains: bool = True
+
+
+# Generic functions shared between unrelated projects, how many of them
+# each standalone project takes, and each target's own functions.
+_GENERIC_POOL = 8
+_GENERIC_PER_PROJECT = 2
+_JUNK_FUNCS = 8
 
 
 @dataclass
@@ -473,7 +474,7 @@ def _build_corpus(rng: random.Random, shape: CorpusShape) -> Corpus:
     corpus = Corpus()
     pool = []
     pool_rng = random.Random(rng.getrandbits(64))
-    for i in range(shape.generic_pool):
+    for i in range(_GENERIC_POOL):
         gid = f"generic.g{i:02d}"
         pool.append((gid, make_body(pool_rng, f"fn_generic_{i:02d}_{_ident(pool_rng)}")))
 
@@ -485,7 +486,7 @@ def _build_corpus(rng: random.Random, shape: CorpusShape) -> Corpus:
         used_ids.add(oss_id)
         sub = random.Random(rng.getrandbits(64))
         offset = sub.randrange(0, 1400)
-        pool_slice = pool[sub.randrange(len(pool)) :] if pool else []
+        generic = pool[sub.randrange(len(pool)) :][:_GENERIC_PER_PROJECT]
         corpus.add(
             _gen_project(
                 sub,
@@ -493,8 +494,7 @@ def _build_corpus(rng: random.Random, shape: CorpusShape) -> Corpus:
                 _EPOCH + datetime.timedelta(days=offset),
                 n_versions=sub.randint(shape.versions_min, shape.versions_max),
                 core_funcs=sub.randint(shape.core_funcs_min, shape.core_funcs_max),
-                generic_pool=pool_slice,
-                generic_count=shape.generic_per_project,
+                generic=generic,
                 short_funcs=1 if sub.random() < shape.short_func_rate else 0,
             )
         )
@@ -546,15 +546,15 @@ class _TargetBuild:
     target_id: str
     plants: list[PlantSpec]
     files: list[tuple[str, bytes]]
-    covered: dict[str, bool]  # fid -> covered (exact or validated-similar)
+    covered: set[str]  # fids planted exactly or as validated-similar variants
     entries: list[GroundTruthEntry]
     nested: bool = False
     ripple: bool = False
 
 
-def _junk_files(rng: random.Random, target_id: str, count: int) -> list[tuple[str, bytes]]:
+def _junk_files(rng: random.Random, target_id: str) -> list[tuple[str, bytes]]:
     bodies = [
-        make_body(rng, f"fn_{target_id}_own{i:02d}_{_ident(rng)}") for i in range(count)
+        make_body(rng, f"fn_{target_id}_own{i:02d}_{_ident(rng)}") for i in range(_JUNK_FUNCS)
     ]
     half = max(1, len(bodies) // 2)
     return [
@@ -580,21 +580,38 @@ def _chain_entries(
     return rows
 
 
+def _mutate_some(
+    rng: random.Random, corpus: Corpus, oss_id: str, fids: list[str], want: int
+) -> dict[str, bytes]:
+    """fid -> validated variant for up to `want` of the sorted `fids`, trying
+    the functions of every version first so the mutation lands in each."""
+    versions = corpus.projects[oss_id].version_ids
+    everywhere = set.intersection(*(corpus.fids_in_version(oss_id, v) for v in versions))
+    mutated: dict[str, bytes] = {}
+    for fid in sorted(fids, key=lambda f: f not in everywhere):
+        if len(mutated) >= want:
+            break
+        variant = mutate_body(rng, corpus.body_of(fid))
+        if variant is not None:
+            mutated[fid] = variant
+    return mutated
+
+
 def _realize_plant(
-    rng: random.Random, corpus: Corpus, plant: PlantSpec, build: _TargetBuild, cutoff: int
+    rng: random.Random, corpus: Corpus, plant: PlantSpec, build: _TargetBuild
 ) -> None:
     project = corpus.projects[plant.oss_id]
     version = plant.source_version
     prefix = f"third_party/{plant.oss_id}"
 
+    def vendored(fid: str) -> str:
+        return f"{prefix}/{corpus.path_of(plant.oss_id, fid)}"
+
     if plant.mode in ("EXACT", "NESTED"):
         for path, data in corpus.render_version(plant.oss_id, version):
             build.files.append((f"{prefix}/{path}", data))
-        for fid in corpus.fids_in_version(plant.oss_id, version):
-            build.covered[fid] = True
-        build.entries.append(
-            GroundTruthEntry(plant.oss_id, (version,), frozenset({"E"}))
-        )
+        build.covered.update(corpus.fids_in_version(plant.oss_id, version))
+        build.entries.append(GroundTruthEntry(plant.oss_id, (version,), frozenset({"E"})))
         build.entries.extend(_chain_entries(corpus, plant.oss_id, version, frozenset({"E"})))
         return
 
@@ -602,29 +619,16 @@ def _realize_plant(
 
     if plant.mode == "PARTIAL":
         k = min(round(len(fids) * plant.keep_ratio), len(fids) - 1)
-        kept = sorted(rng.sample(fids, k))
-        for fid in kept:
-            build.covered[fid] = True
-        grouped: dict[str, list[str]] = {}
-        for fid in kept:
-            grouped.setdefault(corpus.path_of(plant.oss_id, fid), []).append(fid)
-        for path, group in sorted(grouped.items()):
-            data = b"\n\n".join(corpus.body_of(f) for f in group) + b"\n"
-            build.files.append((f"{prefix}/{path}", data))
+        kept = rng.sample(fids, k)
+        build.covered.update(kept)
+        build.files.extend(_files(kept, vendored, corpus.body_of))
         build.entries.append(GroundTruthEntry(plant.oss_id, (), frozenset({"P"})))
         return
 
     if plant.mode == "STRUCT_CHANGED":
-        relocation = {}
-        bundles: dict[str, list[str]] = {}
-        for i, fid in enumerate(fids):
-            new_path = f"src/bundle_{i // 12}.c"
-            relocation[corpus.path_of(plant.oss_id, fid)] = new_path
-            bundles.setdefault(new_path, []).append(fid)
-            build.covered[fid] = True
-        for path, group in sorted(bundles.items()):
-            data = b"\n\n".join(corpus.body_of(f) for f in group) + b"\n"
-            build.files.append((path, data))
+        bundle = {fid: f"src/bundle_{i // 12}.c" for i, fid in enumerate(fids)}
+        build.covered.update(fids)
+        build.files.extend(_files(fids, bundle.__getitem__, corpus.body_of))
         build.entries.append(GroundTruthEntry(plant.oss_id, (version,), frozenset({"SC"})))
         return
 
@@ -637,33 +641,13 @@ def _realize_plant(
             pool |= corpus.fids_in_version(plant.oss_id, nxt)
             candidates = (version, nxt)
         ordered = sorted(pool)
-        # prefer persistent functions so the mutation lands in every
-        # version's function set
-        persistent = [
-            f for f in ordered
-            if all(f in corpus.fids_in_version(plant.oss_id, v) for v in project.version_ids)
-        ]
         want = max(1, round(len(ordered) * plant.mutation_rate))
-        mutate_order = persistent + [f for f in ordered if f not in persistent]
-        mutated: dict[str, bytes] = {}
-        for fid in mutate_order:
-            if len(mutated) >= want:
-                break
-            variant = mutate_body(rng, corpus.body_of(fid), cutoff)
-            if variant is not None:
-                mutated[fid] = variant
+        mutated = _mutate_some(rng, corpus, plant.oss_id, ordered, want)
         if not mutated:
             raise GeneratorError(f"could not mutate any function of {plant.oss_id}")
-        grouped2: dict[str, list[str]] = {}
-        for fid in ordered:
-            grouped2.setdefault(corpus.path_of(plant.oss_id, fid), []).append(fid)
-            build.covered[fid] = True
-        for path, group in sorted(grouped2.items()):
-            data = b"\n\n".join(mutated.get(f, corpus.body_of(f)) for f in group) + b"\n"
-            build.files.append((f"{prefix}/{path}", data))
-        build.entries.append(
-            GroundTruthEntry(plant.oss_id, candidates, frozenset({"CC"}))
-        )
+        build.covered.update(ordered)
+        build.files.extend(_files(ordered, vendored, lambda f: mutated.get(f) or corpus.body_of(f)))
+        build.entries.append(GroundTruthEntry(plant.oss_id, candidates, frozenset({"CC"})))
         return
 
     raise AssertionError(plant.mode)
@@ -735,7 +719,6 @@ def _ground_truth_for(
     chain_members = {oss for chain in corpus.chains for oss in chain}
 
     for build in builds:
-        covered = {fid for fid, ok in build.covered.items() if ok}
         declared: dict[str, GroundTruthEntry] = {}
         for entry in build.entries:
             declared.setdefault(entry.oss_id, entry)
@@ -743,7 +726,7 @@ def _ground_truth_for(
         unseg_extra: set[str] = set()
         for oss in corpus.projects:
             app = app_fids[oss]
-            ratio = len(covered & app) / len(app) if app else 0.0
+            ratio = len(build.covered & app) / len(app) if app else 0.0
             if _MARGIN_LOW < ratio < _MARGIN_HIGH:
                 raise GeneratorError(
                     f"{build.target_id}: ratio {ratio:.3f} for {oss} too close to theta"
@@ -752,7 +735,7 @@ def _ground_truth_for(
                 expected.add(oss)
             else:
                 full = all_fids[oss]
-                unseg_ratio = len(covered & full) / len(full)
+                unseg_ratio = len(build.covered & full) / len(full)
                 if unseg_ratio >= _THETA_DESIGN:
                     unseg_extra.add(oss)
         for oss in declared:
@@ -769,7 +752,7 @@ def _ground_truth_for(
             build.nested = True
         if build.nested and unseg_extra:
             share_only_borrowed = {
-                oss for oss in unseg_extra if not (covered & app_fids[oss])
+                oss for oss in unseg_extra if not (build.covered & app_fids[oss])
             }
             if share_only_borrowed:
                 build.ripple = True
@@ -806,7 +789,6 @@ def generate_corpus(
     out_dir: str | Path,
     shape: CorpusShape | None = None,
     plants: list[tuple[str, list[PlantSpec]]] | None = None,
-    cutoff: int = fingerprint.DEFAULT_CUTOFF,
 ) -> CorpusBundle:
     """Write a seeded corpus, target trees and ground truth under out_dir.
 
@@ -821,12 +803,10 @@ def generate_corpus(
     builds: list[_TargetBuild] = []
     for target_id, specs in plan:
         t_rng = random.Random(rng.getrandbits(64))
-        build = _TargetBuild(
-            target_id=target_id, plants=list(specs), files=[], covered={}, entries=[]
-        )
-        build.files.extend(_junk_files(t_rng, target_id, shape.junk_funcs))
+        build = _TargetBuild(target_id, list(specs), files=[], covered=set(), entries=[])
+        build.files.extend(_junk_files(t_rng, target_id))
         for spec in specs:
-            _realize_plant(t_rng, corpus, spec, build, cutoff)
+            _realize_plant(t_rng, corpus, spec, build)
         builds.append(build)
 
     ground_truth = _ground_truth_for(corpus, builds)
@@ -937,7 +917,7 @@ def verify_detection(
 # Lightweight single-project trials (version identification accuracy)
 
 
-def run_mixed_version_trial(seed: int, cutoff: int = fingerprint.DEFAULT_CUTOFF) -> tuple[str, tuple[str, str]]:
+def run_mixed_version_trial(seed: int) -> tuple[str, tuple[str, str]]:
     """Plant a two-adjacent-version, code-changed reuse of one project and
     report (identified version, the mixed pair).  The version trees and the
     target are written to a temporary directory and removed afterwards."""
@@ -955,26 +935,12 @@ def run_mixed_version_trial(seed: int, cutoff: int = fingerprint.DEFAULT_CUTOFF)
     idx = rng.randrange(len(project.version_ids) - 1)
     v_lo, v_hi = project.version_ids[idx], project.version_ids[idx + 1]
     pool = sorted(corpus.fids_in_version(oss_id, v_lo) | corpus.fids_in_version(oss_id, v_hi))
-    persistent = [
-        f for f in pool
-        if all(f in corpus.fids_in_version(oss_id, v) for v in project.version_ids)
-    ]
-    mutated: dict[str, bytes] = {}
-    for fid in persistent + [f for f in pool if f not in persistent]:
-        if len(mutated) >= max(1, len(pool) // 10):
-            break
-        variant = mutate_body(rng, project.bodies[fid], cutoff)
-        if variant is not None:
-            mutated[fid] = variant
-
-    grouped: dict[str, list[str]] = {}
-    for fid in pool:
-        grouped.setdefault(project.home_path[fid], []).append(fid)
-    target_files = [
-        (f"third_party/{oss_id}/{path}",
-         b"\n\n".join(mutated.get(f, project.bodies[f]) for f in fids) + b"\n")
-        for path, fids in sorted(grouped.items())
-    ]
+    mutated = _mutate_some(rng, corpus, oss_id, pool, max(1, len(pool) // 10))
+    target_files = _files(
+        pool,
+        lambda f: f"third_party/{oss_id}/{project.home_path[f]}",
+        lambda f: mutated.get(f) or project.bodies[f],
+    )
 
     metas = signature_store.make_version_meta(
         [(v, project.dates[v]) for v in project.version_ids]
@@ -990,10 +956,8 @@ def run_mixed_version_trial(seed: int, cutoff: int = fingerprint.DEFAULT_CUTOFF)
         _write_tree(target, target_files)
         t = detector.fingerprint_target(target, target_id=f"trial_target_{seed}")
     db = signature_store.ComponentDb(signatures={oss_id: sig})
-    segmenter.apply_segmentation(db, segmenter.segment_all(db, cutoff=cutoff))
-    reports = detector.identify_components(
-        t, db, detector.DetectorConfig(cutoff=cutoff)
-    )
+    segmenter.apply_segmentation(db, segmenter.segment_all(db))
+    reports = detector.identify_components(t, db)
     if not reports:
         raise GeneratorError(f"trial {seed}: component not detected")
     return reports[0].version_id, (v_lo, v_hi)

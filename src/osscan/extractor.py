@@ -2,11 +2,12 @@
 
 Each file is lexed without an external parser, in linear time.  Two regex
 substitutions build a masked copy of the same length: the first blanks
-comments and the contents of string and character literals, the second
-blanks preprocessor lines with their backslash continuations.  Only CR
-and LF survive blanking, so offsets and line numbers carry over.  One pass
-over the masked brackets then pairs each ``(`` with its ``)`` and each
-``{`` with its ``}``.  The scanner captures definitions of the shape
+comments and the contents of string, raw-string and character literals,
+the second blanks preprocessor lines with their backslash continuations.
+Only CR and LF survive blanking, so offsets and line numbers carry over.
+One pass over the masked brackets then pairs each ``(`` with its ``)``
+and each ``{`` with its ``}``.  The scanner captures definitions of the
+shape
 
     name ( parameter-list ) decl-suffix { body }
 
@@ -58,8 +59,14 @@ _LITERAL_KEEP_RE = re.compile(rb"[^\\ \t\r\n]+|\\[^ \t\r\n]")
 # The mask also ends a literal at a line end no backslash escapes, as a
 # compiler does, so a stray quote ("#error don't") cannot hide the rest of
 # the file.  normalize keeps literals open: its idempotence needs that.
+# A C++ raw string R"delim(...)delim" spans lines and has no escapes; an
+# unterminated one runs to end of input.  Its R follows u8, u, U, L or no
+# identifier byte, checked looking back from the R: a leading assertion
+# would make the engine try the pattern at every byte (8x slower).
 _MASK_RE = re.compile(
     rb"""//[^\r\n]*|/\*.*?(?:\*/|\Z)
+    |R(?:(?<![A-Za-z0-9_]R)|(?<=(?<![A-Za-z0-9_])[uUL]R)|(?<=(?<![A-Za-z0-9_])u8R))
+     "([^ ()\\\t\v\f\r\n]{0,16})\((.*?)(?:\)\1"|\Z)
     |"([^"\\\r\n]*(?:\\(?:\r\n|.)[^"\\\r\n]*)*\\?)"?
     |'([^'\\\r\n]*(?:\\(?:\r\n|.)[^'\\\r\n]*)*\\?)'?""",
     re.S | re.X,
@@ -68,6 +75,7 @@ _MASK_RE = re.compile(
 # it into; only LF ends a line.
 _DIRECTIVE_RE = re.compile(rb"^[ \t\r\v\f]*#(?:[^\n]*\\[ \t\r\v\f]*\n)*[^\n]*", re.M)
 _BRACKET_RE = re.compile(rb"[(){}]")
+_STOP_RE = re.compile(rb"[(){};=]")
 # every byte but CR and LF becomes a space, so offsets and line ends survive
 _BLANK = bytes(c if c in b"\r\n" else 0x20 for c in range(256))
 
@@ -102,11 +110,12 @@ def _blank(match: re.Match) -> bytes:
 
 
 def _mask_token(match: re.Match) -> bytes:
-    """Blank a comment whole and a literal between its quotes."""
+    """Blank a comment whole and a literal between its delimiters."""
     if match.lastindex is None:
         return _blank(match)
-    text, inner = match[0], match[match.lastindex]
-    return text[:1] + inner.translate(_BLANK) + text[1 + len(inner) :]
+    text, at = match[0], match.start()
+    start, end = match.span(match.lastindex)
+    return text[: start - at] + text[start - at : end - at].translate(_BLANK) + text[end - at :]
 
 
 def _mask(data: bytes) -> bytes:
@@ -141,23 +150,28 @@ _BLOCKED_NAMES = frozenset(
 _ACCESS_LABEL_RE = re.compile(rb"\A(?:(?:public|protected|private|signals|slots)\s*:\s*)+")
 
 
-def _find_body_open(masked: bytes, start: int) -> int:
-    """Locate '{' after the parameter list; -1 when this is no definition."""
-    depth = 0
-    for i in range(start, len(masked)):
-        c = masked[i]
-        if c == 0x28:
-            depth += 1
-        elif c == 0x29:
-            depth -= 1
-            if depth < 0:
-                return -1
-        elif depth == 0:
-            if c == 0x7B:  # {
-                return i
-            if c in (0x3B, 0x3D, 0x7D):  # ; = }
-                return -1
-    return -1
+def _find_body_open(
+    masked: bytes, start: int, closer: dict[int, int], found: dict[int, int]
+) -> int:
+    """Locate '{' after the parameter list; -1 when this is no definition.
+
+    The walk visits the stop bytes at paren depth 0, jumping each closed '('
+    past its closer; any stop but '{' ends it with -1.  `found` (one per
+    file) keeps the answer of every stop visited, so a later walk ends at
+    the first of those it meets."""
+    visited: list[int] = []
+    pos = start
+    while (match := _STOP_RE.search(masked, pos)) and match.start() not in found:
+        stop = match.start()
+        visited.append(stop)
+        if masked[stop] != 0x28 or stop not in closer:  # all but a closed (
+            found[stop] = stop if masked[stop] == 0x7B else -1  # {
+            break
+        pos = closer[stop] + 1
+    result = found[match.start()] if match else -1
+    for stop in visited:
+        found[stop] = result
+    return result
 
 
 def _decl_start(masked: bytes, name_start: int) -> int:
@@ -177,6 +191,7 @@ def extract_from_source(file_path: str, data: bytes) -> list[RawFunction]:
     """Extract function definitions from one file's bytes."""
     masked = _mask(data)
     closer = _bracket_table(masked)
+    found: dict[int, int] = {}
     results: list[RawFunction] = []
     pos = 0
     line, line_pos = 1, 0  # line number at offset line_pos; definitions come in order
@@ -186,7 +201,7 @@ def extract_from_source(file_path: str, data: bytes) -> list[RawFunction]:
             break
         name = match.group(1)
         close = None if name in _BLOCKED_NAMES else closer.get(match.end() - 1)
-        body_open = -1 if close is None else _find_body_open(masked, close + 1)
+        body_open = -1 if close is None else _find_body_open(masked, close + 1, closer, found)
         body_close = closer.get(body_open)
         if body_close is None:
             pos = match.end()

@@ -115,15 +115,15 @@ def classify(a: FuncHash, b: FuncHash, cutoff: int = DEFAULT_CUTOFF) -> Relation
     return RelationDecision(kind=kind, distance=d)
 
 
-def hash_raw_functions(functions: Iterable[RawFunction]) -> list[tuple[str, FuncHash]]:
-    """Normalize and hash extracted functions, keeping their paths."""
-    out = []
+def hash_raw_functions(functions: Iterable[RawFunction]) -> dict[FuncHash, set[str]]:
+    """Normalize and hash extracted functions: each distinct hash with the
+    paths it occurs at, in first-seen order."""
+    grouped: dict[FuncHash, set[str]] = {}
     for raw in functions:
         text = normalize(raw.body)
-        if not text:
-            continue
-        out.append((raw.file_path, hash_function(text)))
-    return out
+        if text:
+            grouped.setdefault(hash_function(text), set()).add(raw.file_path)
+    return grouped
 
 
 # Rows per side of one distance block: 128 x 128 cells, with (128, 544)

@@ -97,9 +97,8 @@ class OssSignature:
 
 @dataclass
 class DbMeta:
-    format_version: int = DB_FORMAT_VERSION
-    hash_scheme: str = fingerprint.LSH_SCHEME_ID
-    exact_scheme: str = fingerprint.EXACT_SCHEME_ID
+    """The header's one setting; its format and scheme ids are constants."""
+
     cutoff: int = fingerprint.DEFAULT_CUTOFF
 
 
@@ -156,16 +155,13 @@ def build_signature(
     _check_version_order(metas)
 
     entries: dict[FuncHash, SignatureEntry] = {}
-    total = 0
     for meta, tree in versions:
-        for path, func_hash in fingerprint.hash_raw_functions(extract_functions(tree)):
-            total += 1
+        for func_hash, paths in fingerprint.hash_raw_functions(extract_functions(tree)).items():
             entry = entries.get(func_hash)
             if entry is None:
-                entry = SignatureEntry(hash=func_hash, paths={})
-                entries[func_hash] = entry
-            entry.paths.setdefault(meta.ordinal, set()).add(path)
-    if total == 0:
+                entry = entries[func_hash] = SignatureEntry(hash=func_hash, paths={})
+            entry.paths[meta.ordinal] = paths
+    if not entries:
         raise SignatureError(f"empty OSS: {oss_id} has no extractable functions")
     return OssSignature(oss_id=oss_id, version_meta=list(metas), entries=entries)
 
@@ -229,9 +225,9 @@ def dedup_ratio(db: ComponentDb, oss_id: str | None = None) -> Fraction:
 
 def _meta_json(meta: DbMeta) -> str:
     doc = {
-        "format": meta.format_version,
-        "hash": meta.hash_scheme,
-        "exact": meta.exact_scheme,
+        "format": DB_FORMAT_VERSION,
+        "hash": fingerprint.LSH_SCHEME_ID,
+        "exact": fingerprint.EXACT_SCHEME_ID,
         "cutoff": meta.cutoff,
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"
@@ -282,31 +278,21 @@ def _load_meta(path: Path) -> DbMeta:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DbFormatError(f"{path}: unreadable db header: {exc}") from exc
-    fmt = doc.get("format")
-    if fmt != DB_FORMAT_VERSION:
-        raise DbFormatError(
-            f"{path}: db format version {fmt!r} unsupported, this build reads "
-            f"version {DB_FORMAT_VERSION}"
-        )
-    meta = DbMeta(
-        format_version=fmt,
-        hash_scheme=doc.get("hash", ""),
-        exact_scheme=doc.get("exact", ""),
-        cutoff=doc.get("cutoff", fingerprint.DEFAULT_CUTOFF),
-    )
-    if meta.hash_scheme != fingerprint.LSH_SCHEME_ID:
-        raise DbFormatError(
-            f"{path}: db hash scheme {meta.hash_scheme!r} incompatible with "
-            f"{fingerprint.LSH_SCHEME_ID!r}"
-        )
-    if meta.exact_scheme != fingerprint.EXACT_SCHEME_ID:
-        raise DbFormatError(
-            f"{path}: db exact scheme {meta.exact_scheme!r} incompatible with "
-            f"{fingerprint.EXACT_SCHEME_ID!r}"
-        )
-    if not isinstance(meta.cutoff, int) or isinstance(meta.cutoff, bool) or meta.cutoff < 0:
-        raise DbFormatError(f"{path}: bad cutoff {meta.cutoff!r}")
-    return meta
+    if not isinstance(doc, dict):
+        raise DbFormatError(f"{path}: db header is not a JSON object")
+    for key, want in (
+        ("format", DB_FORMAT_VERSION),
+        ("hash", fingerprint.LSH_SCHEME_ID),
+        ("exact", fingerprint.EXACT_SCHEME_ID),
+    ):
+        if doc.get(key) != want:
+            raise DbFormatError(
+                f"{path}: db {key} {doc.get(key)!r} incompatible with this build's {want!r}"
+            )
+    cutoff = doc.get("cutoff", fingerprint.DEFAULT_CUTOFF)
+    if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
+        raise DbFormatError(f"{path}: bad cutoff {cutoff!r}")
+    return DbMeta(cutoff=cutoff)
 
 
 def _load_versions(path: Path) -> list[VersionMeta]:

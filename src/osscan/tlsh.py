@@ -65,22 +65,25 @@ _BIT_PAIRS = sum(
 )
 _BIT_PAIRS_FLAT = _BIT_PAIRS.reshape(-1).tolist()
 
+# Cost of two 4-bit quartile ratios, which lie on a ring of 16: the first
+# step between them costs 1, each further step 12.  By difference mod 16:
+_RING_STEP_COST = np.array([0, 1, 12, 24, 36, 48, 60, 72, 84, 72, 60, 48, 36, 24, 12, 1])
+_RING = _RING_STEP_COST[(np.arange(16)[:, None] - np.arange(16)[None, :]) % 16]
+_RING_FLAT = _RING.reshape(-1).tolist()
+
 
 def _symbol_tables() -> tuple[np.ndarray, np.ndarray]:
     """16 float32 columns per symbol value, for the two sides of the
     distance product.  Symbols 0-255 are code bytes: one-hot lane states on
     the left, the lane-cost rows of those states on the right.  Symbols
     256-271 and 272-287 are the q1 and q2 ratios: one-hot on the left, the
-    ratio's row of the 16x16 ring-distance table on the right."""
-    d = np.abs(np.arange(16)[:, None] - np.arange(16)[None, :])
-    d = np.minimum(d, 16 - d)
-    ring = np.where(d <= 1, d, (d - 1) * 12)
+    ratio's row of `_RING` on the right."""
     one_hot = np.zeros((288, 16), dtype=np.float32)
     cost = np.zeros((288, 16), dtype=np.float32)
     one_hot[:256] = np.eye(4, dtype=np.float32)[_BYTE_LANES].reshape(256, 16)
     cost[:256] = _LANE_COST[_BYTE_LANES].reshape(256, 16)
     one_hot[256:272] = one_hot[272:] = np.eye(16, dtype=np.float32)
-    cost[256:272] = cost[272:] = ring
+    cost[256:272] = cost[272:] = _RING
     return one_hot, cost
 
 
@@ -201,18 +204,10 @@ def _decode(hexdigest: str) -> _Parts:
     )
 
 
-def _mod_diff(x: int, y: int, r: int) -> int:
-    d = abs(x - y)
-    return min(d, r - d)
-
-
 def _score(a: _Parts, b: _Parts) -> int:
-    total = 0
-    for qa, qb in ((a.q1_ratio, b.q1_ratio), (a.q2_ratio, b.q2_ratio)):
-        qd = _mod_diff(qa, qb, 16)
-        total += qd if qd <= 1 else (qd - 1) * 12
-    if a.checksum != b.checksum:
-        total += 1
+    ring = _RING_FLAT
+    total = ring[(a.q1_ratio << 4) | b.q1_ratio] + ring[(a.q2_ratio << 4) | b.q2_ratio]
+    total += a.checksum != b.checksum
     flat = _BIT_PAIRS_FLAT
     ca, cb = a.code, b.code
     total += sum(flat[(ca[i] << 8) | cb[i]] for i in range(_CODE_SIZE))

@@ -183,7 +183,7 @@ def test_criterion_4_version_identification(env):
     trials = 110
     hits = 0
     for seed in range(trials):
-        version, pair = evalkit.run_mixed_version_trial(seed, cutoff=CUTOFF)
+        version, pair = evalkit.run_mixed_version_trial(seed)
         hits += version in pair
     rate = hits / trials
     assert rate >= 0.90, f"mixed-version accuracy {rate:.3f}"

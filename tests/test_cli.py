@@ -104,6 +104,13 @@ def test_detect_on_unsegmented_db_fails(workspace, tmp_path, capsys):
     assert "run segmentation first" in capsys.readouterr().err
 
 
+def test_segment_reports_header_that_is_not_an_object(tmp_path, capsys):
+    (tmp_path / "db").mkdir()
+    (tmp_path / "db" / "db_meta.json").write_text("[]\n")
+    assert main(["segment", "--db", str(tmp_path / "db")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_detect_rejects_bad_theta(workspace, capsys):
     root, bundle = workspace["root"], workspace["bundle"]
     target = dict(bundle.target_manifest)["t01_exact_a"]

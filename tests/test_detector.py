@@ -294,7 +294,7 @@ def test_partial_reuse_pattern_end_to_end():
 def test_code_changed_pattern_end_to_end():
     db, tags = _pattern_base_db()
     rng = random.Random(9)
-    mutated = evalkit.mutate_body(rng, c_function(tags[0]), 30)
+    mutated = evalkit.mutate_body(rng, c_function(tags[0]))
     assert mutated is not None
     files = [
         ("third_party/patterns/src/f0.c", mutated + b"\n\n" + source_file(tags[1:6])),
@@ -469,7 +469,7 @@ def test_single_scan_equals_per_signature_reference(nested_db):
     rng = random.Random(12)
 
     def mutated(tags):
-        variants = [evalkit.mutate_body(rng, c_function(tag), 30) for tag in tags]
+        variants = [evalkit.mutate_body(rng, c_function(tag)) for tag in tags]
         return b"\n\n".join(v for v in variants if v is not None)
 
     river = [f"river{i:02d}" for i in range(20)]

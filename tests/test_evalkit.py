@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import datetime
+import hashlib
 import os
 import random
 import subprocess
@@ -62,7 +63,7 @@ def test_mutations_stay_within_cutoff():
     rng = random.Random(2)
     for i in range(30):
         body = make_body(rng, f"m{i}")
-        variant = mutate_body(rng, body, 30)
+        variant = mutate_body(rng, body)
         if variant is None:
             continue
         a = fingerprint.hash_function(normalize(body))
@@ -73,7 +74,7 @@ def test_mutations_stay_within_cutoff():
 def test_short_bodies_cannot_be_mutated():
     rng = random.Random(3)
     short = evalkit.make_short_body(rng, "tiny")
-    assert mutate_body(rng, short, 30) is None
+    assert mutate_body(rng, short) is None
 
 
 def test_generate_corpus_deterministic(tmp_path: Path):
@@ -83,6 +84,18 @@ def test_generate_corpus_deterministic(tmp_path: Path):
     assert a.ground_truth.to_json() == b.ground_truth.to_json()
     c = generate_corpus(seed=12, out_dir=tmp_path / "three", shape=SMALL)
     assert _tree_bytes(tmp_path / "one") != _tree_bytes(tmp_path / "three")
+
+
+def test_generated_bytes_are_pinned(tmp_path: Path):
+    # The benchmark's workloads are generated trees, so a refactor of the
+    # generator must not move a byte.  Same rule as bench/pipeline.tree_digest.
+    generate_corpus(seed=7, out_dir=tmp_path, shape=CorpusShape(n_standalone=8))
+    digest = hashlib.sha256()
+    for rel, data in sorted(_tree_bytes(tmp_path).items()):
+        digest.update(rel.encode() + b"\0" + data)
+    assert digest.hexdigest() == (
+        "3d270532f6aa998e0a148e0026773fbe515130b2880bf83eceb28378953ac4e7"
+    )
 
 
 # Mutates every function of every component, so that mutate_body meets
@@ -178,11 +191,11 @@ def test_partial_plant_keeps_exact_count():
     )
     corpus = evalkit.Corpus()
     corpus.add(project)
-    build = evalkit._TargetBuild("t", [], [], {}, [])
+    build = evalkit._TargetBuild("t", [], [], set(), [])
     evalkit._realize_plant(
-        rng, corpus, PlantSpec("bigone", "PARTIAL", "v1", keep_ratio=0.5), build, 30
+        rng, corpus, PlantSpec("bigone", "PARTIAL", "v1", keep_ratio=0.5), build
     )
-    assert sum(build.covered.values()) == 50
+    assert len(build.covered) == 50
     planted = [
         f for path, data in build.files for f in extract_from_source(path, data)
     ]

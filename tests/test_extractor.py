@@ -356,6 +356,26 @@ def test_stray_quote_ends_at_line_end():
     assert normalize(b"x = 'it\n// s") == b"x='it//s"
 
 
+def test_raw_string_spans_lines():
+    src = b'const char *s = R"(\n  } {\n)";\nint f(void) { return 1; }\n'
+    funcs = extract_from_source("a.c", src)
+    assert [(f.name, f.body, f.line_span) for f in funcs] == [
+        ("f", b"int f(void) { return 1; }", (4, 4))
+    ]
+
+
+def test_raw_string_with_prefix_delimiter_quote_and_backslash():
+    src = (
+        b'const char *s = u8R"xy(say "}" \\\n  )" } {\n)xy";\n'
+        b"int g(int a) { return a; }\n"
+    )
+    funcs = extract_from_source("a.c", src)
+    assert [(f.name, f.line_span) for f in funcs] == [("g", (4, 4))]
+    # R ending a longer identifier opens no raw string: "(" is a plain literal
+    src = b'const char *s = XR"(";\nint h(void) { return 1; }\n'
+    assert [f.name for f in extract_from_source("a.c", src)] == ["h"]
+
+
 _LEXER_BYTES = st.lists(
     st.sampled_from(
         [b"/", b"*", b'"', b"'", b"\\", b" ", b"\r", b"\n", b"\x0b", b"#", b"(", b")",
@@ -384,6 +404,12 @@ def test_unclosed_parens_cost_linear_time():
     assert time.perf_counter() - start < 1.0
 
 
+def test_empty_calls_cost_linear_time():
+    start = time.perf_counter()
+    assert extract_from_source("a.c", b"f()" * 8000) == []
+    assert time.perf_counter() - start < 1.0
+
+
 def test_many_functions_in_one_file_cost_linear_time():
     src = b"".join(
         b"static int fn%d(int a, int b)\n{\n    return a * %d + b;\n}\n\n" % (i, i)
@@ -398,12 +424,13 @@ def test_many_functions_in_one_file_cost_linear_time():
 
 
 def test_unterminated_literal_memory_is_bounded():
-    data = b'int f(void) { return 1; }\n"' + b"x" * 1_000_000
-    tracemalloc.start()
-    try:
-        funcs = extract_from_source("a.c", data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert [f.name for f in funcs] == ["f"]
-    assert peak < 16 * 1024 * 1024
+    for opener in (b'"', b'R"('):  # a plain literal, a raw string
+        data = b"int f(void) { return 1; }\n" + opener + b"x" * 1_000_000
+        tracemalloc.start()
+        try:
+            funcs = extract_from_source("a.c", data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [f.name for f in funcs] == ["f"]
+        assert peak < 16 * 1024 * 1024

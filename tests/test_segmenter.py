@@ -62,7 +62,7 @@ def test_common_functions_matches_bruteforce_with_similars(tmp_path: Path):
     bodies = [evalkit.make_body(rng, f"cf{i}") for i in range(6)]
     variants = []
     for body in bodies[:3]:
-        variant = evalkit.mutate_body(rng, body, 30)
+        variant = evalkit.mutate_body(rng, body)
         assert variant is not None
         variants.append(variant)
 

@@ -256,6 +256,24 @@ def test_load_rejects_wrong_hash_scheme(tmp_path: Path):
         load_db(tmp_path / "db")
 
 
+def test_load_rejects_wrong_exact_scheme(tmp_path: Path):
+    db = _two_sig_db()
+    save_db(db, tmp_path / "db")
+    meta = tmp_path / "db" / "db_meta.json"
+    meta.write_text(meta.read_text().replace("SHA256/64h", "SHA1/40h"))
+    with pytest.raises(DbFormatError, match="exact 'SHA1/40h' incompatible"):
+        load_db(tmp_path / "db")
+
+
+@pytest.mark.parametrize("header", ["[]", "30", '"db"', "null"])
+def test_load_rejects_header_that_is_not_an_object(tmp_path: Path, header: str):
+    db = _two_sig_db()
+    save_db(db, tmp_path / "db")
+    (tmp_path / "db" / "db_meta.json").write_text(header + "\n")
+    with pytest.raises(DbFormatError, match="not a JSON object"):
+        load_db(tmp_path / "db")
+
+
 def test_load_reports_corrupted_line_with_location(tmp_path: Path):
     db = _two_sig_db()
     save_db(db, tmp_path / "db")
