@@ -59,7 +59,12 @@ def main(workdir: Path) -> None:
     tid = "t20_nested_ripple"  # reuses only the vendored middle of a chain
     t = detector.fingerprint_target(dict(bundle.target_manifest)[tid], target_id=tid)
     seg = [r.oss_id for r in detector.identify_components(t, db, cfg)]
-    raw = [r.oss_id for r in detector.identify_components(t, db, cfg, use_segmentation=False)]
+    # the database saved before segmentation, with every component marked
+    # prime so that its whole entry set counts as application code
+    raw_db = signature_store.load_db(workdir / "db")
+    for sig in raw_db.signatures.values():
+        sig.is_prime, sig.app_entries = True, set(sig.entries)
+    raw = [r.oss_id for r in detector.identify_components(t, raw_db, cfg)]
     print(f"with segmentation:    {seg}")
     print(f"without segmentation: {raw}  (siblings sharing the same vendored code)")
 

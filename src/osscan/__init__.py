@@ -14,7 +14,7 @@ from .detector import (
     render_report,
 )
 from .extractor import extract_functions, normalize
-from .fingerprint import FuncHash, HashScheme, classify, distance, hash_function
+from .fingerprint import FuncHash, HashScheme, distance, hash_function
 from .segmenter import segment_all, apply_segmentation
 from .signature_store import (
     ComponentDb,

@@ -18,7 +18,7 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-from . import detector, evalkit, segmenter, signature_store
+from . import detector, evalkit, fingerprint, segmenter, signature_store
 from .detector import DetectorConfig, DetectionError
 from .signature_store import (
     ComponentDb,
@@ -28,6 +28,9 @@ from .signature_store import (
 )
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
+    if not fingerprint._is_cutoff(args.cutoff):
+        print(f"error: cutoff must be a non-negative integer, got {args.cutoff}", file=sys.stderr)
+        return 1
     corpus = Path(args.corpus)
     if not corpus.is_dir():
         print(f"error: corpus directory not found: {corpus}", file=sys.stderr)

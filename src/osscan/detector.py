@@ -24,6 +24,7 @@ from .fingerprint import (
     DEFAULT_CUTOFF,
     FuncHash,
     HashIndex,
+    _is_cutoff,
     hash_raw_functions,
     match_hashes,
 )
@@ -43,7 +44,7 @@ class DetectorConfig:
 
     def __post_init__(self) -> None:
         self.theta = check_theta(self.theta)
-        if not isinstance(self.cutoff, int) or self.cutoff < 0:
+        if not _is_cutoff(self.cutoff):
             raise ValueError(f"cutoff must be a non-negative integer, got {self.cutoff!r}")
 
 
@@ -106,29 +107,20 @@ def fingerprint_target(
 
 
 def score_components(
-    t: TargetFingerprint,
-    db: ComponentDb,
-    cutoff: int = DEFAULT_CUTOFF,
-    use_segmentation: bool = True,
+    t: TargetFingerprint, db: ComponentDb, cutoff: int = DEFAULT_CUTOFF
 ) -> list[ScoredComponent]:
     """Phi score of every scorable signature against the target.
 
     One scan pairs every distinct entry of the DB with the target; each
-    signature's phi is read from that pairing.  `use_segmentation=False`
-    scores against full entry sets instead of application code; it serves
-    the segmentation ablation (acceptance criterion 2 and the demo), not
-    production use.
+    signature's phi is read from that pairing over its application code.
     """
     pools = []
     for sig in db.sorted_signatures():
-        if use_segmentation:
-            if not sig.segmented:
-                raise DetectionError(
-                    f"run segmentation first: {sig.oss_id} has no application-code set"
-                )
-            pool = sig.app_entries or set()
-        else:
-            pool = set(sig.entries)
+        if not sig.segmented:
+            raise DetectionError(
+                f"run segmentation first: {sig.oss_id} has no application-code set"
+            )
+        pool = sig.app_entries or set()
         if not pool:
             logger.warning("skipping %s: empty application-code set", sig.oss_id)
             continue
@@ -281,13 +273,12 @@ def identify_components(
     t: TargetFingerprint,
     db: ComponentDb,
     cfg: DetectorConfig | None = None,
-    use_segmentation: bool = True,
 ) -> list[ComponentReport]:
     """All components whose application code is reused at ratio >= theta,
     sorted by score descending (ties by oss id)."""
     cfg = cfg or DetectorConfig()
     reports = []
-    for scored in score_components(t, db, cfg.cutoff, use_segmentation):
+    for scored in score_components(t, db, cfg.cutoff):
         if scored.phi < cfg.theta:
             continue
         matched_entries = [scored.sig.entries[h] for h in scored.matched]

@@ -778,10 +778,11 @@ def read_manifest(path: Path) -> list[tuple[str, Path]]:
 
 
 def _write_tree(root: Path, files: Iterable[tuple[str, bytes]]) -> None:
-    for rel, data in sorted(files):
-        path = root / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
+    files = sorted(files)
+    for parent in sorted({(root / rel).parent for rel, _ in files}):
+        parent.mkdir(parents=True, exist_ok=True)
+    for rel, data in files:
+        (root / rel).write_bytes(data)
 
 
 def generate_corpus(
@@ -859,10 +860,6 @@ class VerificationVerdict:
     path_verified: bool
     header_verified: bool
     metadata_verified: bool
-
-    @property
-    def unverified(self) -> bool:
-        return not (self.path_verified or self.header_verified or self.metadata_verified)
 
 
 _METADATA_STEMS = frozenset({"readme", "license", "copying"})

@@ -1,4 +1,4 @@
-"""Function hashing and the distance/cutoff relation decision.
+"""Function hashing, hash distance and best-match scans.
 
 Normalized function bodies map to a similarity digest when they are long
 enough for the locality-sensitive scheme, and to an exact SHA-256 digest
@@ -64,18 +64,6 @@ class FuncHash:
         return cls(scheme, digest)
 
 
-class Relation(enum.Enum):
-    IDENTICAL = "IDENTICAL"
-    SIMILAR = "SIMILAR"
-    DIFFERENT = "DIFFERENT"
-
-
-@dataclass(frozen=True)
-class RelationDecision:
-    kind: Relation
-    distance: int
-
-
 def hash_function(text: bytes) -> FuncHash:
     """Hash a normalized function body.
 
@@ -92,27 +80,19 @@ def hash_function(text: bytes) -> FuncHash:
     return FuncHash(HashScheme.EXACT, hashlib.sha256(text).hexdigest())
 
 
+def _is_cutoff(value: object) -> bool:
+    """A cutoff setting is a non-negative int; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def distance(a: FuncHash, b: FuncHash, cutoff: int = DEFAULT_CUTOFF) -> int:
     """Distance between two hashes; cross-scheme and unequal exact pairs
-    score cutoff+1 so they can never classify as similar."""
+    score cutoff+1 so they can never count as similar."""
     if a.scheme is HashScheme.LSH and b.scheme is HashScheme.LSH:
         return tlsh.diffxlen(a.digest, b.digest)
     if a.scheme is HashScheme.EXACT and b.scheme is HashScheme.EXACT:
         return 0 if a.digest == b.digest else cutoff + 1
     return cutoff + 1
-
-
-def classify(a: FuncHash, b: FuncHash, cutoff: int = DEFAULT_CUTOFF) -> RelationDecision:
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    d = distance(a, b, cutoff)
-    if d == 0:
-        kind = Relation.IDENTICAL
-    elif d <= cutoff:
-        kind = Relation.SIMILAR
-    else:
-        kind = Relation.DIFFERENT
-    return RelationDecision(kind=kind, distance=d)
 
 
 def hash_raw_functions(functions: Iterable[RawFunction]) -> dict[FuncHash, set[str]]:

@@ -13,7 +13,6 @@ signatures of the others.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -21,10 +20,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import signature_store
-from .fingerprint import DEFAULT_CUTOFF, HashIndex, Matches, best_matches, match_hashes
-from .signature_store import ComponentDb, OssSignature, SignatureEntry
-
-logger = logging.getLogger(__name__)
+from .fingerprint import DEFAULT_CUTOFF, HashIndex, Matches, best_matches
+# Unused here; kept because bench/spans.py wraps segmenter.match_hashes.
+from .fingerprint import match_hashes  # noqa: F401
+from .signature_store import ComponentDb, OssSignature
 
 DEFAULT_THETA = Fraction(1, 10)
 
@@ -46,24 +45,6 @@ def check_theta(theta: object) -> Fraction:
     if not 0 < value < 1:
         raise ValueError(f"theta must be in (0, 1), got {value}")
     return value
-
-
-class MatchedPair(NamedTuple):
-    s_entry: SignatureEntry
-    x_entry: SignatureEntry
-    distance: int
-
-
-@dataclass(frozen=True)
-class PhiScore:
-    s_id: str
-    x_id: str
-    g_size: int
-    x_size: int
-
-    @property
-    def phi(self) -> Fraction:
-        return Fraction(self.g_size, self.x_size)
 
 
 @dataclass
@@ -101,7 +82,13 @@ class _PairScores(NamedTuple):
 
 def _pair_scores(sigs: Sequence[OssSignature], cutoff: int) -> _PairScores:
     """Match every entry against every other signature in one DB-wide scan
-    and count, per (subject, other) pair, the numerator of phi."""
+    and count, per (subject, other) pair, the numerator of phi: the
+    subject's entries matched in the other and born no later there.
+
+    Equal birth dates count: at day resolution a tie is treated as
+    other-originated, which errs toward keeping the subject's application
+    code clean.
+    """
     left = _index(sigs)
     births = _births(left, sigs)
     m = best_matches(left, None, cutoff)
@@ -111,48 +98,19 @@ def _pair_scores(sigs: Sequence[OssSignature], cutoff: int) -> _PairScores:
     return _PairScores(left, m, g.reshape(len(sigs), len(sigs)))
 
 
-def common_functions(
-    s: OssSignature, x: OssSignature, cutoff: int = DEFAULT_CUTOFF
-) -> list[MatchedPair]:
-    """Identical-or-similar entry pairs between two signatures.
-
-    Each entry of `s` pairs with at most one entry of `x`: digest equality
-    first, then the minimum-distance similar candidate (ties to the
-    lexicographically smaller `x` digest).  Ordered by `s` digest.
-    """
-    matched = match_hashes(s.entries, HashIndex(x.entries), cutoff)
-    return [
-        MatchedPair(s.entries[sh], x.entries[xh], d) for sh, (xh, d) in matched.items()
-    ]
-
-
-def compute_phi(
-    s: OssSignature, x: OssSignature, cutoff: int = DEFAULT_CUTOFF
-) -> PhiScore:
-    """Share of x's entries that are common with s and born no later in x.
-
-    Equal birth dates count: at day resolution a tie is treated as
-    x-originated, which errs toward keeping s's application code clean.
-    """
-    g = int(_pair_scores([s, x], cutoff).g[0, 1])
-    return PhiScore(s_id=s.oss_id, x_id=x.oss_id, g_size=g, x_size=len(x.entries))
-
-
-def check_prime(
-    s: OssSignature,
+def segment_all(
     db: ComponentDb,
     theta: object = DEFAULT_THETA,
     cutoff: int = DEFAULT_CUTOFF,
-) -> tuple[bool, frozenset[str]]:
-    """Possible members of s (projects with phi >= theta) and primality."""
-    result = segment(s, db, theta, cutoff)
-    return result.is_prime, result.members
+) -> dict[str, SegmentationResult]:
+    """Segment every signature against the unsegmented originals, in one
+    DB-wide matching pass that scans each pair of entries once.
 
-
-def _segment(
-    sigs: Sequence[OssSignature], theta: Fraction, cutoff: int
-) -> list[SegmentationResult]:
-    """Members and application code of each signature against the others."""
+    Members of a signature are the others whose phi reaches theta; its
+    application code is every entry minus those matched to any member.
+    """
+    theta = check_theta(theta)
+    sigs = db.sorted_signatures()
     left, m, g = _pair_scores(sigs, cutoff)
     member = np.zeros(g.shape, dtype=bool)
     for k, x in zip(*np.nonzero(g)):
@@ -163,39 +121,15 @@ def _segment(
     for owner, h, gone in zip(left.owners.tolist(), left.hashes, removed.tolist()):
         if not gone:
             app[owner].append(h.digest)
-    return [
-        SegmentationResult(
+    return {
+        s.oss_id: SegmentationResult(
             oss_id=s.oss_id,
             is_prime=not member[k].any(),
             members=frozenset(sigs[x].oss_id for x in np.flatnonzero(member[k])),
             app_entry_hashes=frozenset(app[k]),
         )
         for k, s in enumerate(sigs)
-    ]
-
-
-def segment(
-    s: OssSignature,
-    db: ComponentDb,
-    theta: object = DEFAULT_THETA,
-    cutoff: int = DEFAULT_CUTOFF,
-) -> SegmentationResult:
-    """Application code of s: all entries when prime, otherwise the
-    entries minus everything matched to any possible member."""
-    others = [x for x in db.sorted_signatures() if x.oss_id != s.oss_id]
-    return _segment([s, *others], check_theta(theta), cutoff)[0]
-
-
-def segment_all(
-    db: ComponentDb,
-    theta: object = DEFAULT_THETA,
-    cutoff: int = DEFAULT_CUTOFF,
-) -> dict[str, SegmentationResult]:
-    """Segment every signature against the unsegmented originals, in one
-    DB-wide matching pass that scans each pair of entries once."""
-    sigs = db.sorted_signatures()
-    results = _segment(sigs, check_theta(theta), cutoff)
-    return {r.oss_id: r for r in results}
+    }
 
 
 def apply_segmentation(db: ComponentDb, results: dict[str, SegmentationResult]) -> None:

@@ -285,12 +285,13 @@ def _load_meta(path: Path) -> DbMeta:
         ("hash", fingerprint.LSH_SCHEME_ID),
         ("exact", fingerprint.EXACT_SCHEME_ID),
     ):
-        if doc.get(key) != want:
+        got = doc.get(key)
+        if type(got) is not type(want) or got != want:  # 1.0 and true equal 1
             raise DbFormatError(
-                f"{path}: db {key} {doc.get(key)!r} incompatible with this build's {want!r}"
+                f"{path}: db {key} {got!r} incompatible with this build's {want!r}"
             )
     cutoff = doc.get("cutoff", fingerprint.DEFAULT_CUTOFF)
-    if not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0:
+    if not fingerprint._is_cutoff(cutoff):
         raise DbFormatError(f"{path}: bad cutoff {cutoff!r}")
     return DbMeta(cutoff=cutoff)
 

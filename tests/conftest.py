@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import hashlib
 import random
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -73,6 +75,30 @@ def fingerprint_files(
     assert len(tree) == len(files), "duplicate target path"
     with tempfile.TemporaryDirectory() as tmp:
         return detector.fingerprint_target(write_tree(Path(tmp), tree), target_id=target_id)
+
+
+def all_prime(db: ComponentDb) -> ComponentDb:
+    """A copy of `db` in which every signature is prime with all its
+    entries as application code: detection on it scores full entry sets,
+    the ablation of segmentation."""
+    return ComponentDb(
+        signatures={
+            oss_id: dataclasses.replace(sig, is_prime=True, app_entries=set(sig.entries))
+            for oss_id, sig in db.signatures.items()
+        },
+        meta=db.meta,
+    )
+
+
+def pair_matches(sigs: list[signature_store.OssSignature], cutoff: int):
+    """One DB-wide `segmenter._pair_scores` scan, read per ordered pair:
+    {(k, x): {(entry of k, best entry of x, distance)}} over positions
+    in `sigs`, and the phi numerators g[k, x]."""
+    left, m, g = segmenter._pair_scores(sigs, cutoff)
+    pairs: dict[tuple[int, int], set] = defaultdict(set)
+    for i, x, j, d in zip(*(a.tolist() for a in (m.left, m.owner, m.right, m.distance))):
+        pairs[int(left.owners[i]), x].add((left.hashes[i], left.hashes[j], d))
+    return pairs, g
 
 
 @pytest.fixture(scope="session")

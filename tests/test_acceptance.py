@@ -17,7 +17,6 @@ import pytest
 from osscan import detector, evalkit, segmenter
 from osscan.cli import main as cli_main
 from osscan.detector import DetectorConfig, patterns_from_counts
-from osscan.segmenter import common_functions, compute_phi
 from osscan.signature_store import (
     ComponentDb,
     birth,
@@ -27,6 +26,7 @@ from osscan.signature_store import (
     save_db,
 )
 
+from conftest import all_prime, pair_matches
 from oracles import (
     brute_app,
     brute_component_score,
@@ -109,7 +109,7 @@ def test_criterion_1_synthetic_precision_and_recall(env):
 
 
 def test_criterion_2_segmentation_ablation(env):
-    bundle, db = env["bundle"], env["db"]
+    bundle, raw_db = env["bundle"], all_prime(env["db"])
     gt = bundle.ground_truth
     assert gt.nested_targets
     ripple_confirmed = 0
@@ -118,9 +118,7 @@ def test_criterion_2_segmentation_ablation(env):
         seg_fp = {r.oss_id for r in env["reports"][tid]} - want
         unseg = {
             r.oss_id
-            for r in detector.identify_components(
-                env["fingerprints"][tid], db, env["cfg"], use_segmentation=False
-            )
+            for r in detector.identify_components(env["fingerprints"][tid], raw_db, env["cfg"])
         }
         unseg_fp = unseg - want
         assert len(unseg_fp) > len(seg_fp), (tid, unseg_fp, seg_fp)
@@ -230,21 +228,19 @@ def test_criterion_6_bruteforce_oracle_equivalence(tmp_path):
         for entry in sig.entries.values():
             assert birth(entry, sig) == tables[oss_id].birth(entry.hash)
 
-    # pairwise common functions and phi
+    # common functions and phi of every ordered pair, from the one DB-wide
+    # scan that segmentation runs
     ids = sorted(db.signatures)
-    for s_id in ids:
-        for x_id in ids:
+    pairs, g = pair_matches(db.sorted_signatures(), CUTOFF)
+    for k, s_id in enumerate(ids):
+        for x, x_id in enumerate(ids):
             if s_id == x_id:
                 continue
-            s, x = db.signatures[s_id], db.signatures[x_id]
-            pairs = common_functions(s, x, CUTOFF)
             expected = brute_pair(
                 tables[s_id].hashes(), tables[x_id].hashes(), CUTOFF
             )
-            assert {
-                (p.s_entry.hash, p.x_entry.hash, p.distance) for p in pairs
-            } == {(sh, (xh_d)[0], (xh_d)[1]) for sh, xh_d in expected.items()}
-            assert compute_phi(s, x, CUTOFF).phi == brute_phi(
+            assert pairs[k, x] == {(sh, xh, d) for sh, (xh, d) in expected.items()}
+            assert Fraction(int(g[k, x]), len(db.signatures[x_id].entries)) == brute_phi(
                 tables[s_id], tables[x_id], CUTOFF
             )
 

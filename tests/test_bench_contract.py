@@ -6,8 +6,8 @@ hooks on what they return.  A wrap point that is renamed or no longer
 imported does not fail a traced benchmark run; it only reports the
 per-layer metrics that depend on it as absent, and one that callers
 bypass reads 0.  This test runs the pipeline under the tracer and
-requires that nothing is missing or absent and that the extraction and
-hashing counters saw the work.
+requires that nothing is missing or absent and that the extraction,
+hashing, matching, scoring and segmentation counters saw the work.
 """
 
 from __future__ import annotations
@@ -41,7 +41,15 @@ def test_traced_pipeline_finds_every_wrap_point(tmp_path, monkeypatch, capsys):
     assert absent == []
     # a wrap point that is found but bypassed reads 0
     count = {name: value for name, (value, _) in values.items()}
-    assert count["extractor.files"] > 0
-    assert count["extractor.functions"] > 0
-    assert count["tlsh.digest_calls"] > 0
+    for name in (
+        "extractor.files",
+        "extractor.functions",
+        "tlsh.digest_calls",
+        "fingerprint.index_builds",
+        "fingerprint.match_calls",
+        "tlsh.distance_cells",
+        "detector.signatures_scored",
+        "segmenter.app_entries",
+    ):
+        assert count[name] > 0, name
     assert count["extractor.normalize_calls"] == count["extractor.functions"]

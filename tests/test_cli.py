@@ -95,6 +95,15 @@ def test_preprocess_partial_failure_exit_2(workspace, tmp_path, capsys):
     assert "TOTAL" in captured.out  # the rest was still processed
 
 
+def test_preprocess_rejects_negative_cutoff(workspace, tmp_path, capsys):
+    root = workspace["root"]
+    db_dir = tmp_path / "db"
+    args = ["preprocess", "--corpus", str(root / "corpus"), "--db", str(db_dir), "--cutoff", "-1"]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (db_dir / "db_meta.json").exists()
+
+
 def test_detect_on_unsegmented_db_fails(workspace, tmp_path, capsys):
     root, bundle = workspace["root"], workspace["bundle"]
     assert main(["preprocess", "--corpus", str(root / "corpus"), "--db", str(tmp_path / "db")]) == 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +10,16 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 def test_demo_pipeline_runs(tmp_path):
     script = REPO_ROOT / "demos" / "run_pipeline.py"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
     result = subprocess.run(
         [sys.executable, str(script), str(tmp_path)],
         capture_output=True,
         text=True,
         timeout=240,
+        env=env,
     )
     assert result.returncode == 0, result.stderr
     assert "why segmentation matters" in result.stdout

@@ -23,7 +23,7 @@ from osscan.detector import (
 from osscan.fingerprint import HashIndex, match_hashes
 from osscan.signature_store import ComponentDb
 
-from conftest import build_sig_from_specs, c_function, fingerprint_files, source_file
+from conftest import all_prime, build_sig_from_specs, c_function, fingerprint_files, source_file
 
 
 def _segmented(db: ComponentDb) -> ComponentDb:
@@ -92,9 +92,7 @@ def test_borrowed_only_target_does_not_report_embedder(nested_db):
     t = fingerprint_files("borrow", [("vendor/rock.c", source_file(rock_tags))])
     with_seg = {r.oss_id for r in identify_components(t, db)}
     assert with_seg == {"rockbase"}
-    without_seg = {
-        r.oss_id for r in identify_components(t, db, use_segmentation=False)
-    }
+    without_seg = {r.oss_id for r in identify_components(t, all_prime(db))}
     assert without_seg == {"rockbase", "riverlib", "shipapp"}
 
 
@@ -116,7 +114,7 @@ def test_application_ratio_detects_what_raw_ratio_misses():
     reports = identify_components(t, db)
     assert [r.oss_id for r in reports] == ["sbig"]
     assert reports[0].phi == Fraction(9, 75)
-    raw = {r.oss_id for r in identify_components(t, db, use_segmentation=False)}
+    raw = {r.oss_id for r in identify_components(t, all_prime(db))}
     assert "sbig" not in raw  # 9/250 is below theta
 
 
@@ -442,6 +440,8 @@ def test_detector_config_validation():
         DetectorConfig(theta=1)
     with pytest.raises(ValueError):
         DetectorConfig(cutoff=-1)
+    with pytest.raises(ValueError):
+        DetectorConfig(cutoff=True)
     cfg = DetectorConfig(theta="0.15", cutoff=10)
     assert cfg.theta == Fraction(3, 20)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import hashlib
 import os
@@ -262,7 +263,7 @@ def test_verify_detection_header_and_unverified(tmp_path: Path):
     )
     assert verdicts["lua"].header_verified
     assert not verdicts["lua"].path_verified
-    assert verdicts["ghost"].unverified
+    assert not any(dataclasses.astuple(verdicts["ghost"]))
 
 
 def test_verify_detection_path_and_metadata(tmp_path: Path):
@@ -303,7 +304,6 @@ def test_verify_detection_path_and_metadata(tmp_path: Path):
     assert verdict.path_verified
     assert verdict.metadata_verified
     assert not verdict.header_verified
-    assert not verdict.unverified
 
 
 def test_mixed_version_trial_runs():

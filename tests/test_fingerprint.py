@@ -14,9 +14,7 @@ from osscan.fingerprint import (
     FuncHash,
     HashIndex,
     HashScheme,
-    Relation,
     best_matches,
-    classify,
     distance,
     hash_function,
     match_hashes,
@@ -105,43 +103,34 @@ def test_renamed_variant_distance_pinned():
     assert 0 < d <= DEFAULT_CUTOFF
 
 
-def test_classify_identical_similar_different():
+def test_distance_identical_similar_different():
     a = hash_function(normalize(FIXTURE_BODY))
     b = hash_function(normalize(FIXTURE_RENAMED))
-    assert classify(a, a).kind is Relation.IDENTICAL
-    decision = classify(a, b, cutoff=30)
-    assert decision.kind is Relation.SIMILAR
-    assert classify(a, b, cutoff=PINNED_RENAME_DISTANCE - 1).kind is Relation.DIFFERENT
+    assert distance(a, a) == 0
+    assert 0 < distance(a, b) == PINNED_RENAME_DISTANCE <= 30
 
 
-def test_classify_cutoff_boundaries():
-    # distance == cutoff is similar, cutoff+1 is different
+def test_distance_cutoff_boundaries():
+    # unequal exact hashes and cross-scheme pairs score cutoff + 1
     a = hash_function(b"tiny-a")
     b = hash_function(b"tiny-b")
-    d = classify(a, b, cutoff=30)
-    assert d.kind is Relation.DIFFERENT and d.distance == 31
-    same = classify(a, a, cutoff=0)
-    assert same.kind is Relation.IDENTICAL and same.distance == 0
-
-
-def test_classify_rejects_negative_cutoff():
-    h = hash_function(b"tiny")
-    with pytest.raises(ValueError):
-        classify(h, h, cutoff=-1)
+    lsh = hash_function(normalize(FIXTURE_BODY))
+    assert distance(a, b, cutoff=30) == 31
+    assert distance(a, b, cutoff=0) == 1
+    assert distance(a, lsh, cutoff=30) == distance(lsh, a, cutoff=30) == 31
+    assert distance(a, a, cutoff=0) == 0
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.binary(min_size=1, max_size=400), st.binary(min_size=1, max_size=400))
 def test_distance_symmetric_and_trichotomy(x: bytes, y: bytes):
     a, b = hash_function(x), hash_function(y)
-    assert distance(a, b) == distance(b, a)
-    decision = classify(a, b)
-    if decision.distance == 0:
-        assert decision.kind is Relation.IDENTICAL
-    elif decision.distance <= DEFAULT_CUTOFF:
-        assert decision.kind is Relation.SIMILAR
-    else:
-        assert decision.kind is Relation.DIFFERENT
+    d = distance(a, b)
+    assert d == distance(b, a)
+    if a.scheme is b.scheme is HashScheme.LSH:
+        assert d >= 0 and (a != b or d == 0)
+    else:  # exact or cross-scheme: identical or different, never similar
+        assert d == (0 if a == b else DEFAULT_CUTOFF + 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,11 +138,11 @@ def test_distance_symmetric_and_trichotomy(x: bytes, y: bytes):
 def test_exact_scheme_never_similar(x: bytes, y: bytes):
     a, b = hash_function(x), hash_function(y)
     assert a.scheme is HashScheme.EXACT and b.scheme is HashScheme.EXACT
-    assert classify(a, b).kind in (Relation.IDENTICAL, Relation.DIFFERENT)
+    assert distance(a, b) == (0 if a == b else DEFAULT_CUTOFF + 1)
 
 
 def test_hashing_is_thread_safe():
-    # hash/distance/classify are pure; concurrent use matches serial use
+    # hash/distance are pure; concurrent use matches serial use
     import concurrent.futures
 
     rng = random.Random(55)

@@ -9,19 +9,11 @@ from pathlib import Path
 import pytest
 
 from osscan import segmenter, signature_store
-from osscan.fingerprint import FuncHash, HashIndex, HashScheme, match_hashes
-from osscan.segmenter import (
-    check_prime,
-    check_theta,
-    coerce_theta,
-    common_functions,
-    compute_phi,
-    segment,
-    segment_all,
-)
+from osscan.fingerprint import DEFAULT_CUTOFF, FuncHash, HashIndex, HashScheme, match_hashes
+from osscan.segmenter import check_theta, coerce_theta, segment_all
 from osscan.signature_store import ComponentDb
 
-from conftest import build_sig_from_specs, write_tree
+from conftest import build_sig_from_specs, pair_matches, write_tree
 from oracles import brute_pair
 
 
@@ -38,7 +30,8 @@ def test_coerce_theta_is_exact():
 def test_common_functions_disjoint_sets():
     s = build_sig_from_specs("s", [("v1", "2020-01-01", {"a.c": ["s1", "s2"]})])
     x = build_sig_from_specs("x", [("v1", "2019-01-01", {"a.c": ["x1", "x2"]})])
-    assert common_functions(s, x) == []
+    pairs, _ = pair_matches([s, x], DEFAULT_CUTOFF)
+    assert not pairs
 
 
 def test_common_functions_shared_digests():
@@ -48,11 +41,11 @@ def test_common_functions_shared_digests():
     x = build_sig_from_specs(
         "x", [("v1", "2019-01-01", {"b.c": ["sh1", "sh2", "sh3", "other"]})]
     )
-    pairs = common_functions(s, x)
-    assert len(pairs) == 3
-    for pair in pairs:
-        assert pair.s_entry.hash == pair.x_entry.hash
-        assert pair.distance == 0
+    pairs, _ = pair_matches([s, x], DEFAULT_CUTOFF)
+    assert len(pairs[0, 1]) == 3
+    for sh, xh, d in pairs[0, 1]:
+        assert sh == xh and sh in s.entries and xh in x.entries
+        assert d == 0
 
 
 def test_common_functions_matches_bruteforce_with_similars(tmp_path: Path):
@@ -79,18 +72,16 @@ def test_common_functions_matches_bruteforce_with_similars(tmp_path: Path):
         "x",
         [(signature_store.make_version_meta([("v1", datetime.date(2019, 1, 1))])[0], x_tree)],
     )
-    pairs = common_functions(s, x, cutoff=30)
+    pairs, _ = pair_matches([s, x], 30)
     expected = brute_pair(set(s.entries), set(x.entries), cutoff=30)
-    assert {(p.s_entry.hash, p.x_entry.hash, p.distance) for p in pairs} == {
-        (sh, xh, d) for sh, (xh, d) in expected.items()
-    }
-    assert len(pairs) == 3  # the mutated variants are found, nothing else
+    assert pairs[0, 1] == {(sh, xh, d) for sh, (xh, d) in expected.items()}
+    assert len(pairs[0, 1]) == 3  # the mutated variants are found, nothing else
 
 
 def test_phi_no_common_functions():
     s = build_sig_from_specs("s", [("v1", "2020-01-01", {"a.c": ["p1"]})])
     x = build_sig_from_specs("x", [("v1", "2019-01-01", {"a.c": ["q1", "q2"]})])
-    assert compute_phi(s, x).phi == 0
+    assert segmenter._pair_scores([s, x], DEFAULT_CUTOFF).g[0, 1] == 0
 
 
 def test_phi_full_containment_with_earlier_births():
@@ -98,9 +89,8 @@ def test_phi_full_containment_with_earlier_births():
     s = build_sig_from_specs(
         "s", [("v1", "2020-01-01", {"a.c": ["c1", "c2", "c3", "own1"]})]
     )
-    score = compute_phi(s, x)
-    assert score.phi == 1
-    assert (score.g_size, score.x_size) == (3, 3)
+    g = segmenter._pair_scores([s, x], DEFAULT_CUTOFF).g
+    assert (g[0, 1], len(x.entries)) == (3, 3)  # phi = 1
 
 
 def test_phi_hand_enumerated_fixture():
@@ -117,15 +107,15 @@ def test_phi_hand_enumerated_fixture():
             ("v2", "2019-01-01", {"s.c": ["cf1", "cf2", "so1", "so2", "so3", "so4", "so5"]}),
         ],
     )
-    score = compute_phi(s, x)
-    assert score.phi == Fraction(2, 10)
-    assert (score.g_size, score.x_size) == (2, 10)
+    g = segmenter._pair_scores([s, x], DEFAULT_CUTOFF).g
+    assert (g[0, 1], len(x.entries)) == (2, 10)
 
 
 def test_phi_equal_birth_dates_count():
     x = build_sig_from_specs("x", [("v1", "2018-05-05", {"x.c": ["tie", "xtra"]})])
     s = build_sig_from_specs("s", [("v1", "2018-05-05", {"s.c": ["tie", "sown"]})])
-    assert compute_phi(s, x).phi == Fraction(1, 2)
+    g = segmenter._pair_scores([s, x], DEFAULT_CUTOFF).g
+    assert (g[0, 1], len(x.entries)) == (1, 2)  # phi = 1/2
 
 
 def test_check_prime_below_theta_not_member(nested_db: ComponentDb):
@@ -136,8 +126,8 @@ def test_check_prime_below_theta_not_member(nested_db: ComponentDb):
         "tourist", [("v1", "2021-01-01", {"t.c": ["wander00", "t1", "t2"]})]
     )
     db.signatures["tourist"] = tourist
-    is_prime, members = check_prime(tourist, db, theta="0.1")
-    assert is_prime and members == frozenset()
+    result = segment_all(db, theta="0.1")["tourist"]
+    assert result.is_prime and result.members == frozenset()
 
 
 def test_check_prime_exact_theta_boundary_is_member():
@@ -146,38 +136,34 @@ def test_check_prime_exact_theta_boundary_is_member():
     )
     s = build_sig_from_specs("s", [("v1", "2020-01-01", {"s.c": ["g0", "sown"]})])
     db = ComponentDb(signatures={"x": x, "s": s})
-    is_prime, members = check_prime(s, db, theta="0.1")
-    assert not is_prime and members == frozenset({"x"})  # 1/10 >= 0.1 exactly
+    result = segment_all(db, theta="0.1")["s"]
+    assert not result.is_prime and result.members == frozenset({"x"})  # 1/10 >= 0.1 exactly
 
 
 def test_nested_fixture_membership(nested_db: ComponentDb):
     # Hand-derived: shipapp embeds riverlib which embeds rockbase.
-    _, ship_members = check_prime(nested_db.signatures["shipapp"], nested_db)
-    assert ship_members == frozenset({"riverlib", "rockbase"})
-    _, river_members = check_prime(nested_db.signatures["riverlib"], nested_db)
-    assert river_members == frozenset({"rockbase"})
-    rock_prime, rock_members = check_prime(nested_db.signatures["rockbase"], nested_db)
-    assert rock_prime and rock_members == frozenset()
-    wander_prime, _ = check_prime(nested_db.signatures["wanderer"], nested_db)
-    assert wander_prime
+    results = segment_all(nested_db)
+    assert results["shipapp"].members == frozenset({"riverlib", "rockbase"})
+    assert results["riverlib"].members == frozenset({"rockbase"})
+    assert results["rockbase"].is_prime and results["rockbase"].members == frozenset()
+    assert results["wanderer"].is_prime
 
 
 def test_segment_set_minus():
     x = build_sig_from_specs("x", [("v1", "2015-01-01", {"x.c": ["c", "d"]})])
     s = build_sig_from_specs("s", [("v1", "2020-01-01", {"s.c": ["a", "b", "c", "d"]})])
     db = ComponentDb(signatures={"x": x, "s": s})
-    result = segment(s, db)
+    result = segment_all(db)["s"]
     assert not result.is_prime and result.members == frozenset({"x"})
-    kept = {h.digest for h in s.entries} - {
-        pair.s_entry.hash.digest for pair in common_functions(s, x)
-    }
+    pairs, _ = pair_matches([s, x], DEFAULT_CUTOFF)
+    kept = {h.digest for h in s.entries} - {sh.digest for sh, _, _ in pairs[0, 1]}
     assert result.app_entry_hashes == kept
     assert len(result.app_entry_hashes) == 2
 
 
 def test_segment_prime_keeps_everything(nested_db: ComponentDb):
     rock = nested_db.signatures["rockbase"]
-    result = segment(rock, nested_db)
+    result = segment_all(nested_db)["rockbase"]
     assert result.is_prime
     assert result.app_entry_hashes == frozenset(h.digest for h in rock.entries)
 
@@ -187,18 +173,12 @@ def test_segment_nested_closure(nested_db: ComponentDb):
     # rockbase); segmentation must keep exactly the 30 own.
     ship = nested_db.signatures["shipapp"]
     assert len(ship.entries) == 61
-    result = segment(ship, nested_db)
+    result = segment_all(nested_db)["shipapp"]
     assert len(result.app_entry_hashes) == 30
     river_digests = {h.digest for h in nested_db.signatures["riverlib"].entries}
     rock_digests = {h.digest for h in nested_db.signatures["rockbase"].entries}
     assert not result.app_entry_hashes & river_digests
     assert not result.app_entry_hashes & rock_digests
-
-
-def test_segment_all_matches_single_segments(nested_db: ComponentDb):
-    results = segment_all(nested_db)
-    for oss_id, sig in nested_db.signatures.items():
-        assert results[oss_id] == segment(sig, nested_db)
 
 
 def test_segment_all_iteration_order_independent(nested_db: ComponentDb):
@@ -222,13 +202,12 @@ def test_segment_all_uses_unsegmented_signatures(nested_db: ComponentDb):
 
 
 def test_unrelated_project_removal_leaves_result_unchanged(nested_db: ComponentDb):
-    ship = nested_db.signatures["shipapp"]
-    full = segment(ship, nested_db)
+    full = segment_all(nested_db)["shipapp"]
     smaller = ComponentDb(
         signatures={k: v for k, v in nested_db.signatures.items() if k != "wanderer"},
         meta=nested_db.meta,
     )
-    assert segment(ship, smaller) == full
+    assert segment_all(smaller)["shipapp"] == full
 
 
 def test_antisymmetry_under_clean_nesting():
@@ -238,19 +217,19 @@ def test_antisymmetry_under_clean_nesting():
     outer_files = {"o.c": [f"m{i}" for i in range(10)], "tp/i.c": [f"n{i}" for i in range(8)]}
     outer = build_sig_from_specs("outer", [("v1", "2018-01-01", outer_files)])
     db = ComponentDb(signatures={"inner": inner, "outer": outer})
-    assert compute_phi(outer, inner).phi >= Fraction(1, 10)
-    assert compute_phi(inner, outer).phi == 0
-    _, outer_members = check_prime(outer, db)
-    _, inner_members = check_prime(inner, db)
-    assert outer_members == frozenset({"inner"})
-    assert inner_members == frozenset()
+    g = segmenter._pair_scores([outer, inner], DEFAULT_CUTOFF).g
+    assert Fraction(int(g[0, 1]), len(inner.entries)) >= Fraction(1, 10)
+    assert g[1, 0] == 0
+    results = segment_all(db)
+    assert results["outer"].members == frozenset({"inner"})
+    assert results["inner"].members == frozenset()
 
 
 def test_app_entries_disjoint_from_members(segmented_nested_db: ComponentDb):
     db = segmented_nested_db
+    results = segment_all(db)
     for oss_id, sig in db.signatures.items():
-        _, members = check_prime(sig, db)
-        for member in members:
+        for member in results[oss_id].members:
             member_digests = {
                 h.digest for h in db.signatures[member].entries
             }
@@ -339,11 +318,12 @@ def test_db_wide_pass_equals_per_pair_reference(seed: int):
     for theta, cutoff in ((Fraction(1, 10), 30), (Fraction(1, 4), 0), (Fraction(1, 10), -1)):
         expected = _per_pair_reference(db, theta, cutoff)
         assert segment_all(db, theta, cutoff) == expected
-        s = db.signatures["c0"]
-        assert segment(s, db, theta, cutoff) == expected["c0"]
-        for x in db.sorted_signatures()[1:]:
-            matched = match_hashes(s.entries, HashIndex(x.entries), cutoff)
-            assert {(p.s_entry.hash, p.x_entry.hash, p.distance)
-                    for p in common_functions(s, x, cutoff)} == {
-                (sh, xh, d) for sh, (xh, d) in matched.items()
-            }
+        sigs = db.sorted_signatures()
+        pairs, _ = pair_matches(sigs, cutoff)
+        for k, s in enumerate(sigs):
+            for x, other in enumerate(sigs):
+                if x != k:
+                    expected_pairs = brute_pair(set(s.entries), set(other.entries), cutoff)
+                    assert pairs[k, x] == {
+                        (sh, xh, d) for sh, (xh, d) in expected_pairs.items()
+                    }

@@ -247,6 +247,17 @@ def test_load_rejects_non_integer_cutoff(tmp_path: Path):
         load_db(tmp_path / "db")
 
 
+@pytest.mark.parametrize("value", ["true", "1.0"])
+def test_load_rejects_format_of_wrong_type(tmp_path: Path, value: str):
+    # both equal 1 under ==, but a JSON bool or float is not format 1
+    db = _two_sig_db()
+    save_db(db, tmp_path / "db")
+    meta = tmp_path / "db" / "db_meta.json"
+    meta.write_text(meta.read_text().replace('"format":1', f'"format":{value}'))
+    with pytest.raises(DbFormatError, match="incompatible"):
+        load_db(tmp_path / "db")
+
+
 def test_load_rejects_wrong_hash_scheme(tmp_path: Path):
     db = _two_sig_db()
     save_db(db, tmp_path / "db")
