@@ -64,10 +64,18 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     return 2 if failures else 0
 
 
+def _cutoff(args: argparse.Namespace, db: ComponentDb) -> int:
+    """The --cutoff given, else the DB's; ValueError for a bad value."""
+    cutoff = args.cutoff if args.cutoff is not None else db.meta.cutoff
+    if not fingerprint._is_cutoff(cutoff):
+        raise ValueError(f"cutoff must be a non-negative integer, got {cutoff}")
+    return cutoff
+
+
 def cmd_segment(args: argparse.Namespace) -> int:
     try:
         db = signature_store.load_db(args.db)
-        cutoff = args.cutoff if args.cutoff is not None else db.meta.cutoff
+        cutoff = _cutoff(args, db)
         results = segmenter.segment_all(db, theta=args.theta, cutoff=cutoff)
     except (DbFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -83,8 +91,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
 def cmd_detect(args: argparse.Namespace) -> int:
     try:
         db = signature_store.load_db(args.db)
-        cutoff = args.cutoff if args.cutoff is not None else db.meta.cutoff
-        cfg = DetectorConfig(theta=args.theta, cutoff=cutoff)
+        cfg = DetectorConfig(theta=args.theta, cutoff=_cutoff(args, db))
         t = detector.fingerprint_target(args.target)
         reports = detector.identify_components(t, db, cfg)
         payload = detector.render_report(reports, args.format, t.target_id, cfg)
@@ -104,7 +111,7 @@ def cmd_theta_sweep(args: argparse.Namespace) -> int:
         if not grid or any(not 0 <= g < 1 for g in grid):
             raise ValueError(f"grid thresholds must be in [0, 1): {args.grid}")
         db = signature_store.load_db(args.db)
-        cutoff = args.cutoff if args.cutoff is not None else db.meta.cutoff
+        cutoff = _cutoff(args, db)
         targets = evalkit.read_manifest(Path(args.targets))
         truth = None
         if args.ground_truth:

@@ -24,6 +24,7 @@ from .fingerprint import (
     DEFAULT_CUTOFF,
     FuncHash,
     HashIndex,
+    HashMemo,
     _is_cutoff,
     hash_raw_functions,
     match_hashes,
@@ -99,10 +100,11 @@ def fingerprint_target(
     tree_root: str | Path, target_id: str | None = None
 ) -> TargetFingerprint:
     root = Path(tree_root)
-    functions = extract_functions(root)
+    memo = HashMemo()
+    hashed = hash_raw_functions(extract_functions(root, memo.files), memo)
     return TargetFingerprint(
         target_id=target_id or root.name,
-        functions={h: frozenset(paths) for h, paths in hash_raw_functions(functions).items()},
+        functions={h: frozenset(paths) for h, paths in hashed.items()},
     )
 
 

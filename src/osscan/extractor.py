@@ -233,16 +233,22 @@ def list_source_files(root: Path) -> list[Path]:
     return files
 
 
-def extract_functions(source_tree_root: str | Path) -> list[RawFunction]:
+def extract_functions(
+    source_tree_root: str | Path, seen: dict[bytes, list[RawFunction]] | None = None
+) -> list[RawFunction]:
     """Extract every function definition under a directory tree.
 
     Files are visited in lexicographic order of their repo-relative path,
     so output is deterministic for identical tree bytes.  Unreadable files
     are skipped with a warning; files containing NUL are skipped as binary.
+    `seen` maps file bytes to the functions extracted from them (one map
+    per call when not given): a file whose bytes are in it is not
+    extracted again, and its functions are those, at its own path.
     """
     root = Path(source_tree_root)
     if not root.is_dir():
         raise NotADirectoryError(f"source tree not found: {root}")
+    seen = {} if seen is None else seen
     results: list[RawFunction] = []
     for path in list_source_files(root):
         rel = path.relative_to(root).as_posix()
@@ -253,5 +259,11 @@ def extract_functions(source_tree_root: str | Path) -> list[RawFunction]:
             continue
         if b"\x00" in data:
             continue
-        results.extend(extract_from_source(rel, data))
+        functions = seen.get(data)
+        if functions is None:
+            functions = seen[data] = extract_from_source(rel, data)
+        results.extend(
+            f if f.file_path == rel else RawFunction(rel, f.name, f.body, f.line_span)
+            for f in functions
+        )
     return results

@@ -95,14 +95,34 @@ def distance(a: FuncHash, b: FuncHash, cutoff: int = DEFAULT_CUTOFF) -> int:
     return cutoff + 1
 
 
-def hash_raw_functions(functions: Iterable[RawFunction]) -> dict[FuncHash, set[str]]:
+class HashMemo:
+    """What one scope (one component build or one target) has extracted
+    and hashed, so that it extracts each distinct file content, normalizes
+    each distinct raw body and hashes each distinct normalized body once.
+    A memo is never shared between scopes."""
+
+    def __init__(self) -> None:
+        self.files: dict[bytes, list[RawFunction]] = {}  # for `extract_functions`
+        self.raw: dict[bytes, FuncHash | None] = {}  # None: normalizes to nothing
+        self.normalized: dict[bytes, FuncHash] = {}
+
+
+def hash_raw_functions(
+    functions: Iterable[RawFunction], memo: HashMemo
+) -> dict[FuncHash, set[str]]:
     """Normalize and hash extracted functions: each distinct hash with the
-    paths it occurs at, in first-seen order."""
+    paths it occurs at, in first-seen order.  `memo` holds what earlier
+    calls of the scope hashed."""
     grouped: dict[FuncHash, set[str]] = {}
     for raw in functions:
-        text = normalize(raw.body)
-        if text:
-            grouped.setdefault(hash_function(text), set()).add(raw.file_path)
+        if raw.body not in memo.raw:
+            text = normalize(raw.body)
+            if text and text not in memo.normalized:
+                memo.normalized[text] = hash_function(text)
+            memo.raw[raw.body] = memo.normalized[text] if text else None
+        func_hash = memo.raw[raw.body]
+        if func_hash is not None:
+            grouped.setdefault(func_hash, set()).add(raw.file_path)
     return grouped
 
 

@@ -154,9 +154,11 @@ def build_signature(
     metas = [meta for meta, _ in versions]
     _check_version_order(metas)
 
+    memo = fingerprint.HashMemo()  # a file or body repeated across versions is hashed once
     entries: dict[FuncHash, SignatureEntry] = {}
     for meta, tree in versions:
-        for func_hash, paths in fingerprint.hash_raw_functions(extract_functions(tree)).items():
+        functions = extract_functions(tree, memo.files)
+        for func_hash, paths in fingerprint.hash_raw_functions(functions, memo).items():
             entry = entries.get(func_hash)
             if entry is None:
                 entry = entries[func_hash] = SignatureEntry(hash=func_hash, paths={})
@@ -252,6 +254,9 @@ def write_app_file(root: str | Path, sig: OssSignature) -> None:
 
 
 def save_db(db: ComponentDb, root: str | Path) -> None:
+    """Write `db` under `root`; a header `load_db` would reject writes nothing."""
+    if not fingerprint._is_cutoff(db.meta.cutoff):
+        raise ValueError(f"cutoff must be a non-negative integer, got {db.meta.cutoff!r}")
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     (root / "db_meta.json").write_text(_meta_json(db.meta), encoding="utf-8", newline="\n")

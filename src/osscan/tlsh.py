@@ -12,6 +12,16 @@ Inputs that are long enough but carry too little byte-level variation
 (more than half of the buckets empty, or a zero upper quartile) cannot be
 given a meaningful similarity digest; `digest` returns ``None`` for those
 and for short inputs, and callers fall back to exact hashing.
+
+`digest` works on whole byte strings through 256-byte tables.  A Pearson
+lookup T[x] of every byte is one `bytes.translate`, and each salt s has
+its own table T[T[s] ^ x], so the first two steps of a window are one
+translate.  The seven salted strings (the checksum's salt 0 and the six
+bucket triplets') are joined and XORed with their shifted windows in one
+uint8 operation; one `np.bincount` counts the six index strings.  The code
+bytes come from comparing the counts with the quartiles, the header's
+nibble swaps are one translate, and only the checksum's recurrence
+c = T[x ^ c] over its precomputed inputs x is a Python loop.
 """
 
 from __future__ import annotations
@@ -25,7 +35,6 @@ import numpy as np
 MIN_INPUT_LEN = 50
 DIGEST_HEX_LEN = 70
 
-_WINDOW = 5
 _EFF_BUCKETS = 128
 _CODE_SIZE = 32
 
@@ -49,7 +58,14 @@ _PEARSON = (
     51, 65, 28, 144, 254, 221, 93, 189, 194, 139, 112, 43, 71, 109, 184, 209,
 )
 
-_PEARSON_NP = np.array(_PEARSON, dtype=np.uint8)
+_PEARSON_TABLE = bytes(_PEARSON)
+# Each salt folded into the first two Pearson steps, T[T[salt] ^ x]: salt 0
+# starts the checksum, the other six the bucket triplets.
+_SALTED = tuple(
+    bytes(_PEARSON[_PEARSON[salt] ^ x] for x in range(256)) for salt in (0, 2, 3, 5, 7, 11, 13)
+)
+# The four 2-bit lanes of a code byte, low bits first.
+_LANE_WEIGHTS = np.array([1, 4, 16, 64])
 
 # Distance between two 2-bit code lanes: a full 0<->3 swing costs 6, not 3.
 _LANE_COST = np.array(
@@ -94,6 +110,9 @@ def _swap_nibbles(b: int) -> int:
     return ((b & 0x0F) << 4) | (b >> 4)
 
 
+_SWAP_NIBBLES = bytes(_swap_nibbles(b) for b in range(256))
+
+
 def _l_capturing(length: int) -> int:
     if length <= 656:
         i = math.floor(math.log(length) * 2.4663035)
@@ -104,38 +123,8 @@ def _l_capturing(length: int) -> int:
     return i & 0xFF
 
 
-def _checksum(data: bytes) -> int:
-    t = _PEARSON
-    seed = t[0]
-    checksum = 0
-    for i in range(4, len(data)):
-        checksum = t[t[t[seed ^ data[i]] ^ data[i - 1]] ^ checksum]
-    return checksum
-
-
-def _bucket_counts(data: bytes) -> np.ndarray:
-    a = np.frombuffer(data, dtype=np.uint8)
-    c = a[4:]
-    p1 = a[3:-1]
-    p2 = a[2:-2]
-    p3 = a[1:-3]
-    p4 = a[:-4]
-    t = _PEARSON_NP
-
-    def bm(salt: int, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return t[t[t[t[salt] ^ x] ^ y] ^ z]
-
-    idx = np.concatenate(
-        [
-            bm(2, c, p1, p2),
-            bm(3, c, p1, p3),
-            bm(5, c, p2, p3),
-            bm(7, c, p2, p4),
-            bm(11, c, p1, p4),
-            bm(13, c, p3, p4),
-        ]
-    )
-    return np.bincount(idx, minlength=256)
+def _xor(a: bytes, b: bytes) -> bytes:
+    return np.bitwise_xor(np.frombuffer(a, np.uint8), np.frombuffer(b, np.uint8)).tobytes()
 
 
 def digest(data: bytes) -> str | None:
@@ -147,38 +136,26 @@ def digest(data: bytes) -> str | None:
     n = len(data)
     if n < MIN_INPUT_LEN:
         return None
-
-    buckets = _bucket_counts(data)[:_EFF_BUCKETS].tolist()
-    ordered = sorted(buckets)
-    q1, q2, q3 = ordered[31], ordered[63], ordered[95]
-    if q3 == 0:
+    m = n - 4  # windows: byte c = data[i] and the four before it, i >= 4
+    c, p1, p2, p3, p4 = data[4:], data[3:-1], data[2:-2], data[1:-3], data[:-4]
+    salted = b"".join(c.translate(table) for table in _SALTED)  # T[T[salt] ^ c]
+    steps = _xor(salted, p1 + p1 + p1 + p2 + p2 + p1 + p3).translate(_PEARSON_TABLE)
+    indices = _xor(steps[m:], p2 + p3 + p3 + p4 + p4 + p4).translate(_PEARSON_TABLE)
+    buckets = np.bincount(np.frombuffer(indices, np.uint8), minlength=256)[:_EFF_BUCKETS]
+    quartiles = np.sort(buckets)[[31, 63, 95]]
+    q1, q2, q3 = quartiles.tolist()
+    if q3 == 0 or np.count_nonzero(buckets) <= _EFF_BUCKETS // 2:
         return None
-    nonzero = sum(1 for v in buckets if v > 0)
-    if nonzero <= _EFF_BUCKETS // 2:
-        return None
+    lanes = quartiles.searchsorted(buckets)  # quartiles below each count: 0-3
+    code = (lanes.reshape(_CODE_SIZE, 4) @ _LANE_WEIGHTS).astype(np.uint8)
 
-    code = bytearray(_CODE_SIZE)
-    for i in range(_CODE_SIZE):
-        h = 0
-        for j in range(4):
-            k = buckets[4 * i + j]
-            if q3 < k:
-                h += 3 << (j * 2)
-            elif q2 < k:
-                h += 2 << (j * 2)
-            elif q1 < k:
-                h += 1 << (j * 2)
-        code[i] = h
-
-    lvalue = _l_capturing(n)
-    q1_ratio = int(q1 * 100 / q3) % 16
-    q2_ratio = int(q2 * 100 / q3) % 16
-    qbyte = (q1_ratio << 4) | q2_ratio
-
-    header = bytes(
-        (_swap_nibbles(_checksum(data)), _swap_nibbles(lvalue), _swap_nibbles(qbyte))
-    )
-    return (header + bytes(code[::-1])).hex()
+    t = _PEARSON_TABLE
+    checksum = 0
+    for x in steps[:m]:  # x = T[T[T[0] ^ c] ^ p1]
+        checksum = t[x ^ checksum]
+    qbyte = ((int(q1 * 100 / q3) % 16) << 4) | (int(q2 * 100 / q3) % 16)
+    header = bytes((checksum, _l_capturing(n), qbyte)).translate(_SWAP_NIBBLES)
+    return (header + code[::-1].tobytes()).hex()
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,23 @@ def test_preprocess_rejects_negative_cutoff(workspace, tmp_path, capsys):
     assert not (db_dir / "db_meta.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["segment"], ["theta-sweep", "--targets", "targets/manifest.tsv"]],
+    ids=["segment", "theta-sweep"],
+)
+def test_segment_and_sweep_reject_negative_cutoff(workspace, tmp_path, capsys, command):
+    root = workspace["root"]
+    db_dir = tmp_path / "db"
+    assert main(["preprocess", "--corpus", str(root / "corpus"), "--db", str(db_dir)]) == 0
+    capsys.readouterr()
+    args = [command[0], "--db", str(db_dir), "--cutoff", "-1"]
+    args += [str(root / a) if a.endswith(".tsv") else a for a in command[1:]]
+    assert main(args) == 1
+    assert "cutoff" in capsys.readouterr().err
+    assert list(db_dir.glob("*/app.txt")) == []
+
+
 def test_detect_on_unsegmented_db_fails(workspace, tmp_path, capsys):
     root, bundle = workspace["root"], workspace["bundle"]
     assert main(["preprocess", "--corpus", str(root / "corpus"), "--db", str(tmp_path / "db")]) == 0

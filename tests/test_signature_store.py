@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from osscan import signature_store
+from osscan import extractor, fingerprint, signature_store
 from osscan.signature_store import (
     ComponentDb,
     DbFormatError,
@@ -21,7 +21,7 @@ from osscan.signature_store import (
     write_app_file,
 )
 
-from conftest import build_sig_from_specs, date, source_file, write_tree
+from conftest import build_sig_from_specs, c_function, date, source_file, write_tree
 from oracles import naive_table_for_dir
 
 GOLDEN_DB = Path(__file__).parent / "data" / "golden_db"
@@ -70,6 +70,54 @@ def test_duplicate_paths_within_version_recorded_once_per_version():
     assert entry.versions == {0}
     assert entry.paths[0] == {"a.c", "b.c"}
     assert sig.total_incidences() == 1
+
+
+def test_build_hashes_each_distinct_file_and_body_once(tmp_path: Path, monkeypatch):
+    kept = source_file(["one", "two"])  # copied under two paths, unchanged in v2
+    spaced = c_function("one").replace(b";", b"; ")  # another raw form of "one"
+    versions = {
+        "v1": {"a.c": kept, "copy/a.c": kept, "b.c": source_file(["three", "shared"])},
+        "v2": {"a.c": kept, "c.c": source_file(["shared", "four"]), "d.c": spaced + b"\n"},
+    }
+    metas = make_version_meta([("v1", date("2020-01-01")), ("v2", date("2020-06-01"))])
+    trees = [(m, write_tree(tmp_path / m.version_id, versions[m.version_id])) for m in metas]
+    alone = [
+        build_signature("memo", [(make_version_meta([(m.version_id, m.release_date)])[0], tree)])
+        for m, tree in trees
+    ]
+    contents = {data for files in versions.values() for data in files.values()}
+    raw = {f.body for data in contents for f in extractor.extract_from_source("x.c", data)}
+    texts = {extractor.normalize(body) for body in raw}
+    assert (len(contents), len(raw), len(texts)) == (4, 6, 5)
+    one = fingerprint.hash_function(extractor.normalize(c_function("one")))
+
+    calls: list[tuple[str, bytes]] = []
+    for module, name in (
+        (extractor, "extract_from_source"),
+        (fingerprint, "normalize"),
+        (fingerprint, "hash_function"),
+    ):
+        def wrapper(*args, _name=name, _original=getattr(module, name)):
+            calls.append((_name, args[-1]))
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    sig = build_signature("memo", trees)
+    want = {"extract_from_source": contents, "normalize": raw, "hash_function": texts}
+    for name, inputs in want.items():
+        assert sorted(arg for n, arg in calls if n == name) == sorted(inputs), name
+
+    # the entries and paths of building each version alone
+    for (meta, _), single in zip(trees, alone):
+        here = {h: e.paths[meta.ordinal] for h, e in sig.entries.items() if meta.ordinal in e.paths}
+        assert here == {h: e.paths[0] for h, e in single.entries.items()}
+    assert sig.entries[one].paths == {0: {"a.c", "copy/a.c"}, 1: {"a.c", "d.c"}}
+
+    # the memo lives for one call: a second build extracts every content again
+    calls.clear()
+    build_signature("memo", trees)
+    assert sorted(arg for n, arg in calls if n == "extract_from_source") == sorted(contents)
 
 
 def test_empty_oss_rejected(tmp_path: Path):
@@ -236,6 +284,15 @@ def test_load_rejects_future_format(tmp_path: Path):
     with pytest.raises(DbFormatError) as err:
         load_db(tmp_path / "db")
     assert "2" in str(err.value) and "1" in str(err.value)
+
+
+@pytest.mark.parametrize("cutoff", [-1, True, 2.0])
+def test_save_rejects_cutoff_that_load_rejects(tmp_path: Path, cutoff):
+    db = _two_sig_db()
+    db.meta.cutoff = cutoff
+    with pytest.raises(ValueError, match="cutoff"):
+        save_db(db, tmp_path / "db")
+    assert not (tmp_path / "db").exists()
 
 
 def test_load_rejects_non_integer_cutoff(tmp_path: Path):

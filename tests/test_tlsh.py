@@ -85,6 +85,33 @@ def test_digest_matches_reference_on_random_inputs():
     assert checked == 50
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=1200),
+        # two to four symbols: too-uniform inputs (None) and tied quartiles
+        st.integers(2, 4).flatmap(
+            lambda k: st.lists(st.integers(0, k - 1), max_size=1200).map(bytes)
+        ),
+    )
+)
+@example(bytes(range(49)))
+@example(bytes(range(50)))
+@example(bytes(range(51)))
+@example(b"ab" * 25)
+# 64 and 65 of the 128 buckets filled: the two sides of the too-uniform bound
+@example(bytes.fromhex(
+    "0301020003000202020303020402030004040300040002000400020004010200"
+    "02020200010203030102010302030102020304"
+))
+@example(bytes.fromhex(
+    "0202000301030302020300000003030302000200030001020000030203000000"
+    "000200020201030002030003030202010302"
+))
+def test_digest_matches_reference_property(data: bytes):
+    assert tlsh.digest(data) == oracle.reference_digest(data)
+
+
 def test_distances_match_reference_on_random_pairs():
     rng = random.Random(7)
     digests = []
