@@ -188,12 +188,23 @@ def cmd_collect(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
+        # (version directory, tag, date); a directory name has "/" made "_"
+        versions = [(tag.replace("/", "_"), tag, date) for tag, date in sorted(tags)]
+        tag_of: dict[str, str] = {}
+        for safe, tag, _ in versions:
+            if safe in tag_of:
+                print(
+                    f"error: tags {tag_of[safe]} and {tag} both map to version "
+                    f"directory {safe}",
+                    file=sys.stderr,
+                )
+                return 1
+            tag_of[safe] = tag
         repo_name = clone_name(args.git)
         staged = Path(tmp) / "out" / repo_name
         staged.mkdir(parents=True)
         meta_lines = []
-        for tag, date in sorted(tags):
-            safe = tag.replace("/", "_")
+        for safe, tag, date in versions:
             version_dir = staged / safe
             version_dir.mkdir(parents=True, exist_ok=True)
             archive = subprocess.run(

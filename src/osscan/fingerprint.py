@@ -89,7 +89,8 @@ def distance(a: FuncHash, b: FuncHash, cutoff: int = DEFAULT_CUTOFF) -> int:
     """Distance between two hashes; cross-scheme and unequal exact pairs
     score cutoff+1 so they can never count as similar."""
     if a.scheme is HashScheme.LSH and b.scheme is HashScheme.LSH:
-        return tlsh.diffxlen(a.digest, b.digest)
+        pack = tlsh.pack_digests([a.digest, b.digest])
+        return int(tlsh.diffxlen_matrix(pack[:1], pack[1:])[0, 0])
     if a.scheme is HashScheme.EXACT and b.scheme is HashScheme.EXACT:
         return 0 if a.digest == b.digest else cutoff + 1
     return cutoff + 1
@@ -190,7 +191,7 @@ def _similar_pairs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(left row, right row, distance) of every LSH pair within cutoff, in
     blocks.  `symmetric` (left is right) computes each unordered block
-    pair once and mirrors its hits, as `diffxlen` is symmetric."""
+    pair once and mirrors its hits, as the distance is symmetric."""
     found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for a0 in range(0, len(left.lsh_rows), _BLOCK):
         block_a = left.pack[a0 : a0 + _BLOCK]

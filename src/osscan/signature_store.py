@@ -40,7 +40,9 @@ DB_FORMAT_VERSION = 1
 EPOCH_DATE = datetime.date(1970, 1, 1)
 
 _OSS_ID_RE = re.compile(r"[A-Za-z0-9._+-]+\Z")
-_DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}\Z")
+# ASCII digits only: `\d` and `str.isdigit` also accept digits such as "²"
+_ORDINAL_RE = re.compile(r"[0-9]+\Z")
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}\Z")
 
 
 class SignatureError(ValueError):
@@ -305,7 +307,7 @@ def _load_versions(path: Path) -> list[VersionMeta]:
     versions: list[VersionMeta] = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         parts = line.split("\t")
-        if len(parts) != 3 or not parts[0].isdigit() or not _DATE_RE.match(parts[2]):
+        if len(parts) != 3 or not _ORDINAL_RE.match(parts[0]) or not _DATE_RE.match(parts[2]):
             raise DbFormatError(f"{path}:{lineno}: bad version line {line!r}")
         versions.append(
             VersionMeta(
@@ -327,7 +329,13 @@ def _load_entries(path: Path, n_versions: int) -> dict[FuncHash, SignatureEntry]
         try:
             doc = json.loads(line)
             func_hash = FuncHash.from_token(doc["h"])
-            paths = {int(v["o"]): set(map(str, v["p"])) for v in doc["v"]}
+            paths = {}
+            for v in doc["v"]:
+                o, p = v["o"], v["p"]
+                if type(o) is not int or type(p) is not list or "" in p:
+                    raise TypeError(f"bad version record {v!r}")
+                "".join(p)  # TypeError on a path that is not a string
+                paths[o] = set(p)
         except (ValueError, KeyError, TypeError) as exc:
             raise DbFormatError(f"{path}:{lineno}: corrupted entry: {exc}") from exc
         if len(paths) != len(doc["v"]):

@@ -4,9 +4,10 @@ This is a self-contained implementation of the classic TLSH variant with
 128 buckets, a 1-byte checksum and a 70-hex-character digest, accepting
 inputs of 50 bytes or more.  A digest encodes a header (checksum, length
 bucket, quartile ratios) plus a 32-byte body derived from quartile-coded
-Pearson bucket counts; `diffxlen` scores two digests while ignoring the
-length component, so that truncated or extended variants of the same code
-are not penalised for their size.
+Pearson bucket counts.  `pack_digests` decodes digests into columns, and
+`diffxlen_matrix`, the one distance kernel, scores every pair of two packs
+while ignoring the length component, so that truncated or extended
+variants of the same code are not penalised for their size.
 
 Inputs that are long enough but carry too little byte-level variation
 (more than half of the buckets empty, or a zero upper quartile) cannot be
@@ -74,18 +75,10 @@ _LANE_COST = np.array(
 # The four lane states of every byte value, low bits first.
 _BYTE_LANES = (np.arange(256)[:, None] >> np.array([0, 2, 4, 6])) & 3
 
-# Distance contribution of one code byte pair: its four lanes compared.
-_BIT_PAIRS = sum(
-    _LANE_COST.astype(np.uint8)[_BYTE_LANES[:, None, k], _BYTE_LANES[None, :, k]]
-    for k in range(4)
-)
-_BIT_PAIRS_FLAT = _BIT_PAIRS.reshape(-1).tolist()
-
 # Cost of two 4-bit quartile ratios, which lie on a ring of 16: the first
 # step between them costs 1, each further step 12.  By difference mod 16:
 _RING_STEP_COST = np.array([0, 1, 12, 24, 36, 48, 60, 72, 84, 72, 60, 48, 36, 24, 12, 1])
 _RING = _RING_STEP_COST[(np.arange(16)[:, None] - np.arange(16)[None, :]) % 16]
-_RING_FLAT = _RING.reshape(-1).tolist()
 
 
 def _symbol_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -159,44 +152,6 @@ def digest(data: bytes) -> str | None:
 
 
 @dataclass(frozen=True)
-class _Parts:
-    checksum: int
-    lvalue: int
-    q1_ratio: int
-    q2_ratio: int
-    code: bytes
-
-
-def _decode(hexdigest: str) -> _Parts:
-    if len(hexdigest) != DIGEST_HEX_LEN:
-        raise ValueError(f"bad TLSH digest length {len(hexdigest)} (want {DIGEST_HEX_LEN})")
-    raw = bytes.fromhex(hexdigest)
-    qbyte = _swap_nibbles(raw[2])
-    return _Parts(
-        checksum=_swap_nibbles(raw[0]),
-        lvalue=_swap_nibbles(raw[1]),
-        q1_ratio=qbyte >> 4,
-        q2_ratio=qbyte & 0x0F,
-        code=raw[3:][::-1],
-    )
-
-
-def _score(a: _Parts, b: _Parts) -> int:
-    ring = _RING_FLAT
-    total = ring[(a.q1_ratio << 4) | b.q1_ratio] + ring[(a.q2_ratio << 4) | b.q2_ratio]
-    total += a.checksum != b.checksum
-    flat = _BIT_PAIRS_FLAT
-    ca, cb = a.code, b.code
-    total += sum(flat[(ca[i] << 8) | cb[i]] for i in range(_CODE_SIZE))
-    return total
-
-
-def diffxlen(d1: str, d2: str) -> int:
-    """Distance between two digests, ignoring the length component."""
-    return _score(_decode(d1), _decode(d2))
-
-
-@dataclass(frozen=True)
 class DigestPack:
     """Column-wise layout of many digests for vectorised scanning."""
 
@@ -218,6 +173,7 @@ _HEX_RE = re.compile(r"[0-9a-fA-F]*\Z")
 
 
 def pack_digests(digests: list[str]) -> DigestPack:
+    """Decode digests into columns; ValueError on a malformed one."""
     for d in digests:
         if len(d) != DIGEST_HEX_LEN:
             raise ValueError(f"bad TLSH digest length {len(d)} (want {DIGEST_HEX_LEN})")
@@ -250,7 +206,8 @@ def _symbols(p: DigestPack) -> np.ndarray:
 
 
 def diffxlen_matrix(a: DigestPack, b: DigestPack) -> np.ndarray:
-    """All-pairs `diffxlen` distances as an (len(a), len(b)) int32 array.
+    """All-pairs distances as a (len(a), len(b)) int32 array: checksum
+    inequality, quartile-ratio ring costs and code-lane costs, no length.
 
     Everything but the checksum term is one float32 matrix product of
     (n, 544) rows, computed in tiles: 512 columns for the 128 code lanes

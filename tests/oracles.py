@@ -9,6 +9,7 @@ are compared against these bit-for-bit on small corpora.
 from __future__ import annotations
 
 import datetime
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +17,9 @@ from pathlib import Path
 
 from osscan import fingerprint
 from osscan.extractor import extract_functions, normalize
-from osscan.fingerprint import FuncHash
+from osscan.fingerprint import FuncHash, HashScheme
+
+import tlsh_oracle
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,22 @@ def naive_table_for_dir(oss_dir: Path) -> NaiveTable:
     return NaiveTable(oss_id=oss_dir.name, versions=versions, rows=rows)
 
 
+@functools.cache
+def _lsh_distance(d1: str, d2: str) -> int:
+    """Reference distance of a digest pair, called with d1 <= d2 so that a
+    pair is computed once in either order."""
+    return tlsh_oracle.reference_distance(d1, d2, False)
+
+
+def _distance(a: FuncHash, b: FuncHash, cutoff: int) -> int:
+    """The independent TLSH distance of two LSH hashes; otherwise 0 for
+    equal exact hashes and cutoff + 1 for any other pair, which is never
+    similar."""
+    if a.scheme is HashScheme.LSH and b.scheme is HashScheme.LSH:
+        return _lsh_distance(*sorted((a.digest, b.digest)))
+    return 0 if a == b else cutoff + 1
+
+
 def brute_pair(
     left: set[FuncHash], right: set[FuncHash], cutoff: int
 ) -> dict[FuncHash, tuple[FuncHash, int]]:
@@ -89,7 +108,7 @@ def brute_pair(
             continue
         best = None
         for rh in right_sorted:
-            d = fingerprint.distance(lh, rh, cutoff)
+            d = _distance(lh, rh, cutoff)
             if d <= cutoff and (best is None or d < best[1]):
                 best = (rh, d)
         if best is not None:

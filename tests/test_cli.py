@@ -271,6 +271,21 @@ def test_collect_sanitizes_slash_tags(tmp_path, capsys):
 
 
 @needs_git
+def test_collect_refuses_tags_that_map_to_one_directory(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _make_git_repo(repo)
+    subprocess.run(["git", "-C", str(repo), "tag", "release/3.0", "v1.0"], check=True)
+    subprocess.run(["git", "-C", str(repo), "tag", "release_3.0", "v2.0"], check=True)
+    out = tmp_path / "collected"
+    assert main(["collect", "--git", str(repo), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "release/3.0" in err and "release_3.0" in err
+    assert not out.exists()
+
+
+@needs_git
 def test_collect_min_tag_count(tmp_path, capsys):
     repo = tmp_path / "repo"
     repo.mkdir()

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osscan import tlsh
 from osscan.extractor import normalize
 from osscan.fingerprint import (
     DEFAULT_CUTOFF,
@@ -30,6 +29,11 @@ def _lsh_hash(tag: str, size: int = 40) -> FuncHash:
     h = hash_function(body)
     assert h.scheme is HashScheme.LSH
     return h
+
+
+def _reference(a: FuncHash, b: FuncHash) -> int:
+    """The independent TLSH distance of two LSH hashes."""
+    return oracle.reference_distance(a.digest, b.digest, False)
 
 
 def test_identical_bodies_identical_hash():
@@ -78,6 +82,16 @@ def test_token_roundtrip():
 def test_self_distance_zero():
     h = _lsh_hash("self")
     assert distance(h, h) == 0
+
+
+_DIGESTS = st.binary(min_size=35, max_size=35).map(bytes.hex)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_DIGESTS, _DIGESTS)
+def test_distance_equals_reference_on_lsh_pairs(x: str, y: str):
+    a, b = FuncHash(HashScheme.LSH, x), FuncHash(HashScheme.LSH, y)
+    assert distance(a, b) == distance(a, b, cutoff=0) == _reference(a, b)
 
 
 def test_exact_mismatch_is_cutoff_plus_one():
@@ -161,27 +175,19 @@ def test_hashing_is_thread_safe():
 # --- HashIndex / pairing ------------------------------------------------
 
 
+# A digest is 35 bytes: checksum, length and quartile-ratio bytes, each
+# nibble-swapped, then the 32 code bytes from last to first.
 def _flip_code_dibit(digest: str, byte_idx: int, lane: int) -> str:
     """A digest at exact body-distance 1 from the input."""
-    parts = tlsh._decode(digest)
-    code = bytearray(parts.code)
-    code[byte_idx] ^= 1 << (2 * lane)
-    header = bytes(
-        (
-            tlsh._swap_nibbles(parts.checksum),
-            tlsh._swap_nibbles(parts.lvalue),
-            tlsh._swap_nibbles((parts.q1_ratio << 4) | parts.q2_ratio),
-        )
-    )
-    return (header + bytes(code[::-1])).hex()
+    raw = bytearray.fromhex(digest)
+    raw[34 - byte_idx] ^= 1 << (2 * lane)
+    return raw.hex()
 
 
 def _shift_q1(digest: str, by: int) -> str:
     """The digest with its q1 quartile ratio moved by `by` on its ring."""
-    parts = tlsh._decode(digest)
-    qbyte = (((parts.q1_ratio + by) % 16) << 4) | parts.q2_ratio
-    raw = bytearray(bytes.fromhex(digest))
-    raw[2] = tlsh._swap_nibbles(qbyte)
+    raw = bytearray.fromhex(digest)
+    raw[2] = (raw[2] & 0xF0) | ((raw[2] + by) & 0x0F)  # q1 is the low nibble stored
     return raw.hex()
 
 
@@ -207,11 +213,7 @@ def test_index_scan_matches_bruteforce():
     variants = [FuncHash(HashScheme.LSH, _flip_code_dibit(base.digest, i, i % 4)) for i in range(6)]
     noise = [_lsh_hash(f"noise{i}", 200) for i in range(20)]
     hits = _rows_within(base, variants + noise, cutoff=5)
-    brute = {
-        (h, distance(base, h))
-        for h in variants + noise
-        if h.scheme is HashScheme.LSH and distance(base, h) <= 5
-    }
+    brute = {(h, _reference(base, h)) for h in variants + noise if _reference(base, h) <= 5}
     assert hits == brute
 
 
@@ -231,40 +233,16 @@ def test_match_finds_pairs_whose_quartile_bytes_differ_at_any_index_size():
     assert match_hashes([base], index, cutoff=DEFAULT_CUTOFF) == {base: (near, 12)}
 
 
-def test_bucketed_index_finds_same_header_candidates():
-    # The scan covers every row, so a near row sharing the query's header
-    # byte is found however the index is laid out.
+def test_single_row_index_finds_near_row():
     base = _lsh_hash("bucket", 300)
     near = FuncHash(HashScheme.LSH, _flip_code_dibit(base.digest, 3, 1))
     assert (near, 1) in _rows_within(base, [near], cutoff=5)
     assert match_hashes([base], HashIndex([near]), cutoff=5) == {base: (near, 1)}
 
 
-def test_bucketed_scan_is_subset_of_full_scan():
-    hashes = []
-    base = _lsh_hash("subsetbase", 400)
-    hashes.append(FuncHash(HashScheme.LSH, _flip_code_dibit(base.digest, 2, 0)))
-    hashes.extend(_lsh_hash(f"sub{i}", 150 + i) for i in range(40))
-    full_hits = {
-        (h, distance(base, h, 60))
-        for h in hashes
-        if distance(base, h, 60) <= 60
-    }
-    hits = _rows_within(base, hashes, cutoff=60)
-    assert hits <= full_hits
-    # candidates sharing the query's header byte are never lost
-    same_header = {
-        (h, d)
-        for h, d in full_hits
-        if tlsh._decode(h.digest).q1_ratio == tlsh._decode(base.digest).q1_ratio
-        and tlsh._decode(h.digest).q2_ratio == tlsh._decode(base.digest).q2_ratio
-    }
-    assert same_header <= hits
-
-
 def test_scan_returns_every_row_within_cutoff():
     rng = random.Random(33)
-    bases = [_lsh_hash(f"subsetbase{i}", 400) for i in range(3)]
+    bases = [_lsh_hash("subsetbase", 400)] + [_lsh_hash(f"subsetbase{i}", 400) for i in range(3)]
     hashes = []
     for base in bases:
         hashes.append(FuncHash(HashScheme.LSH, _flip_code_dibit(base.digest, 2, 0)))
@@ -278,9 +256,9 @@ def test_scan_returns_every_row_within_cutoff():
     for query in bases:
         for cutoff in (0, 5, 30, 60):
             brute = {
-                (h, distance(query, h, cutoff))
+                (h, _reference(query, h))
                 for h in hashes
-                if h.scheme is HashScheme.LSH and distance(query, h, cutoff) <= cutoff
+                if h.scheme is HashScheme.LSH and _reference(query, h) <= cutoff
             }
             assert _rows_within(query, hashes, cutoff) == brute
 

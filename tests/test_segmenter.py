@@ -253,7 +253,7 @@ def _collision_pool(rng: random.Random) -> list[FuncHash]:
             variant = bytearray(raw)
             variant[pos] ^= 1
             pool.append(_lsh(bytes(variant)))
-        for lvalue in rng.sample(range(256), 2):  # diffxlen ignores the length byte
+        for lvalue in rng.sample(range(256), 2):  # the distance ignores the length byte
             variant = bytearray(raw)
             variant[1] = lvalue
             pool.append(_lsh(bytes(variant)))

@@ -365,6 +365,47 @@ def test_load_rejects_repeated_version_ordinal(tmp_path: Path):
         load_db(tmp_path / "db")
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"o":0,"p":"src/a.c"}',
+        '{"o":true,"p":["src/a.c"]}',
+        '{"o":0.9,"p":["src/a.c"]}',
+        '{"o":"1","p":["src/a.c"]}',
+        '{"o":0,"p":["src/a.c",7]}',
+        '{"o":0,"p":[""]}',
+    ],
+    ids=["path-string", "ordinal-bool", "ordinal-float", "ordinal-string", "path-int",
+         "path-empty"],
+)
+def test_load_rejects_mistyped_version_record(tmp_path: Path, record: str):
+    db = _two_sig_db()
+    save_db(db, tmp_path / "db")
+    sig_file = tmp_path / "db" / "alpha" / "sig.jsonl"
+    lines = sig_file.read_text().splitlines()
+    token = lines[0].split('"')[3]
+    lines[0] = f'{{"h":"{token}","v":[{record}]}}'
+    sig_file.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DbFormatError, match=r"sig\.jsonl:1: "):
+        load_db(tmp_path / "db")
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["\u00b2\tv1\t2019-01-01", "0\tv1\t\uff12019-01-01"],
+    ids=["superscript-ordinal", "fullwidth-date"],
+)
+def test_load_rejects_non_ascii_digits_in_version_line(tmp_path: Path, line: str):
+    db = _two_sig_db()
+    save_db(db, tmp_path / "db")
+    meta_file = tmp_path / "db" / "alpha" / "meta.tsv"
+    lines = meta_file.read_text().splitlines()
+    assert lines[0] == "0\tv1\t2019-01-01"
+    meta_file.write_text("\n".join([line] + lines[1:]) + "\n", encoding="utf-8")
+    with pytest.raises(DbFormatError, match=r"meta\.tsv:1: bad version line"):
+        load_db(tmp_path / "db")
+
+
 def test_load_rejects_unknown_app_digest(tmp_path: Path):
     db = _two_sig_db()
     save_db(db, tmp_path / "db")

@@ -40,6 +40,14 @@ def _random_blob(rng: random.Random, lo: int = 50, hi: int = 3000) -> bytes:
     return bytes(rng.randrange(256) for _ in range(rng.randrange(lo, hi)))
 
 
+def _matrix(left: list[str], right: list[str]) -> list[list[int]]:
+    return tlsh.diffxlen_matrix(tlsh.pack_digests(left), tlsh.pack_digests(right)).tolist()
+
+
+def _reference(left: list[str], right: list[str]) -> list[list[int]]:
+    return [[oracle.reference_distance(a, b, False) for b in right] for a in left]
+
+
 def test_pearson_table_is_a_permutation():
     assert sorted(tlsh._PEARSON) == list(range(256))
 
@@ -60,7 +68,7 @@ def test_pinned_fixture_digest():
 def test_pinned_rename_distance_within_cutoff():
     d1 = tlsh.digest(FIXTURE_BODY)
     d2 = tlsh.digest(FIXTURE_RENAMED)
-    dist = tlsh.diffxlen(d1, d2)
+    [[dist]] = _matrix([d1], [d2])
     assert dist == PINNED_RENAME_DISTANCE
     assert 0 < dist <= 30
     assert oracle.reference_distance(d1, d2, False) == PINNED_RENAME_DISTANCE
@@ -113,15 +121,14 @@ def test_digest_matches_reference_property(data: bytes):
 
 
 def test_distances_match_reference_on_random_pairs():
-    rng = random.Random(7)
-    digests = []
-    while len(digests) < 10:
-        d = tlsh.digest(_random_blob(rng, 60, 900))
-        if d is not None:
-            digests.append(d)
-    for a in digests:
-        for b in digests:
-            assert tlsh.diffxlen(a, b) == oracle.reference_distance(a, b, False)
+    for seed, count, hi in ((7, 10, 900), (21, 15, 1200)):
+        rng = random.Random(seed)
+        digests = []
+        while len(digests) < count:
+            d = tlsh.digest(_random_blob(rng, 60, hi))
+            if d is not None:
+                digests.append(d)
+        assert _matrix(digests, digests) == _reference(digests, digests)
 
 
 def test_self_distance_zero_and_symmetry():
@@ -131,10 +138,10 @@ def test_self_distance_zero_and_symmetry():
         d = tlsh.digest(_random_blob(rng, 64, 700))
         if d is not None:
             digests.append(d)
-    for a in digests:
-        assert tlsh.diffxlen(a, a) == 0
-        for b in digests:
-            assert tlsh.diffxlen(a, b) == tlsh.diffxlen(b, a)
+    pack = tlsh.pack_digests(digests)
+    matrix = tlsh.diffxlen_matrix(pack, pack)
+    assert np.all(np.diag(matrix) == 0)
+    assert np.array_equal(matrix, matrix.T)
 
 
 @settings(max_examples=40, deadline=None)
@@ -143,21 +150,7 @@ def test_distance_symmetry_property(x: bytes, y: bytes):
     dx, dy = tlsh.digest(x), tlsh.digest(y)
     if dx is None or dy is None:
         return
-    assert tlsh.diffxlen(dx, dy) == tlsh.diffxlen(dy, dx)
-
-
-def test_matrix_equals_scalar():
-    rng = random.Random(21)
-    digests = []
-    while len(digests) < 15:
-        d = tlsh.digest(_random_blob(rng, 60, 1200))
-        if d is not None:
-            digests.append(d)
-    pack = tlsh.pack_digests(digests)
-    matrix = tlsh.diffxlen_matrix(pack, pack)
-    for i in range(len(digests)):
-        for j in range(len(digests)):
-            assert matrix[i, j] == tlsh.diffxlen(digests[i], digests[j])
+    assert _matrix([dx], [dy]) == _matrix([dy], [dx])
 
 
 def _digest_of(q1: int, q2: int, code_byte: int, checksum: int = 0) -> str:
@@ -191,11 +184,11 @@ _DIGESTS = st.binary(min_size=35, max_size=35).map(bytes.hex)
 @example([_ALL_ZERO], [_ALL_THREE, _digest_of(15, 1, 0x00), _digest_of(8, 8, 0xAA)])
 @example([], [_ALL_ZERO])
 @example([_ALL_THREE], [])
-def test_matrix_equals_scalar_property(left: list[str], right: list[str]):
+def test_matrix_equals_reference_property(left: list[str], right: list[str]):
     matrix = tlsh.diffxlen_matrix(tlsh.pack_digests(left), tlsh.pack_digests(right))
     assert matrix.dtype == np.int32
     assert matrix.shape == (len(left), len(right))
-    assert matrix.tolist() == [[tlsh.diffxlen(a, b) for b in right] for a in left]
+    assert matrix.tolist() == _reference(left, right)
 
 
 def test_pack_rejects_bad_digests():
@@ -213,24 +206,32 @@ def test_matrix_empty_sides():
 
 
 def test_decode_rejects_bad_length():
-    with pytest.raises(ValueError):
-        tlsh._decode("ab")
+    # the lengths add up to two digests, but neither is one
+    with pytest.raises(ValueError, match="length"):
+        tlsh.pack_digests([PINNED_DIGEST[:-2], PINNED_DIGEST + "ab"])
 
 
 def test_encode_decode_roundtrip():
-    parts = tlsh._decode(PINNED_DIGEST)
-    header = bytes(
-        (
-            tlsh._swap_nibbles(parts.checksum),
-            tlsh._swap_nibbles(parts.lvalue),
-            tlsh._swap_nibbles((parts.q1_ratio << 4) | parts.q2_ratio),
-        )
-    )
-    assert (header + parts.code[::-1]).hex() == PINNED_DIGEST
+    # `pack_digests` reads back the fields the reference encoder wrote, but
+    # for the length byte, which the distance ignores
+    checksum, _, q1, q2, code = oracle._fields(oracle.reference_digest(FIXTURE_BODY))
+    pack = tlsh.pack_digests([PINNED_DIGEST])
+    assert pack.checksum.tolist() == [checksum]
+    assert (pack.q1_ratio.tolist(), pack.q2_ratio.tolist()) == ([q1], [q2])
+    assert pack.code.tolist() == [code]
 
 
-def test_bit_pairs_table_properties():
-    table = tlsh._BIT_PAIRS
-    assert table.shape == (256, 256)
-    assert np.all(np.diag(table) == 0)
-    assert table.max() == 24  # four dibit lanes, 6 each
+def _one_code_byte(value: int) -> str:
+    """A digest whose first code byte is `value`, everything else zero."""
+    return (bytes(34) + bytes([value])).hex()
+
+
+def test_matrix_code_byte_costs():
+    pack = tlsh.pack_digests([_one_code_byte(x) for x in range(256)])
+    matrix = tlsh.diffxlen_matrix(pack, pack)
+    assert np.all(np.diag(matrix) == 0)
+    assert matrix.max() == 24  # four lanes, 6 for each 0 <-> 3 swing
+    # a byte whose four lanes are each 0 or 3, against its complement
+    swings = [x for x in range(256) if all((x >> k) & 3 in (0, 3) for k in (0, 2, 4, 6))]
+    assert len(swings) == 16
+    assert all(matrix[x, x ^ 0xFF] == 24 for x in swings)
