@@ -3,7 +3,8 @@ threshold sweep and a tag-collection helper.
 
 Exit codes: 0 success (an empty detection list is a success), 1 on
 I/O or configuration errors, 2 when preprocess failed for some component
-but processed the rest.
+but processed the rest.  Commands raise on errors; `main` is the one
+place that turns them into an `error:` line and exit code 1.
 """
 
 from __future__ import annotations
@@ -20,38 +21,30 @@ from pathlib import Path
 
 from . import detector, evalkit, fingerprint, segmenter, signature_store
 from .detector import DetectorConfig, DetectionError
-from .signature_store import (
-    ComponentDb,
-    DbFormatError,
-    DbMeta,
-    SignatureError,
-)
+from .signature_store import ComponentDb, DbMeta
+
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    if not fingerprint._is_cutoff(args.cutoff):
-        print(f"error: cutoff must be a non-negative integer, got {args.cutoff}", file=sys.stderr)
-        return 1
+    fingerprint.check_cutoff(args.cutoff)
     corpus = Path(args.corpus)
     if not corpus.is_dir():
-        print(f"error: corpus directory not found: {corpus}", file=sys.stderr)
-        return 1
+        raise FileNotFoundError(f"corpus directory not found: {corpus}")
     oss_dirs = sorted(p for p in corpus.iterdir() if p.is_dir())
     if not oss_dirs:
-        print(f"error: no component directories under {corpus}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no component directories under {corpus}")
 
     db = ComponentDb(meta=DbMeta(cutoff=args.cutoff))
     failures = 0
     for oss_dir in oss_dirs:
         try:
             db.signatures[oss_dir.name] = signature_store.build_component(oss_dir)
-        except (SignatureError, OSError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: {oss_dir.name}: {exc}", file=sys.stderr)
             failures += 1
 
-    if not db.signatures:
+    if not db.signatures:  # every component failed
         print("error: no signatures built", file=sys.stderr)
-        return 2 if failures else 1
+        return 2
     signature_store.save_db(db, args.db)
     for sig in db.sorted_signatures():
         ratio = signature_store.dedup_ratio(db, sig.oss_id)
@@ -66,20 +59,12 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 def _cutoff(args: argparse.Namespace, db: ComponentDb) -> int:
     """The --cutoff given, else the DB's; ValueError for a bad value."""
-    cutoff = args.cutoff if args.cutoff is not None else db.meta.cutoff
-    if not fingerprint._is_cutoff(cutoff):
-        raise ValueError(f"cutoff must be a non-negative integer, got {cutoff}")
-    return cutoff
+    return fingerprint.check_cutoff(db.meta.cutoff if args.cutoff is None else args.cutoff)
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    try:
-        db = signature_store.load_db(args.db)
-        cutoff = _cutoff(args, db)
-        results = segmenter.segment_all(db, theta=args.theta, cutoff=cutoff)
-    except (DbFormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    db = signature_store.load_db(args.db)
+    results = segmenter.segment_all(db, theta=args.theta, cutoff=_cutoff(args, db))
     segmenter.apply_segmentation(db, results)
     for sig in db.sorted_signatures():
         signature_store.write_app_file(args.db, sig)
@@ -89,15 +74,11 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    try:
-        db = signature_store.load_db(args.db)
-        cfg = DetectorConfig(theta=args.theta, cutoff=_cutoff(args, db))
-        t = detector.fingerprint_target(args.target)
-        reports = detector.identify_components(t, db, cfg)
-        payload = detector.render_report(reports, args.format, t.target_id, cfg)
-    except (DbFormatError, DetectionError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    db = signature_store.load_db(args.db)
+    cfg = DetectorConfig(theta=args.theta, cutoff=_cutoff(args, db))
+    t = detector.fingerprint_target(args.target)
+    reports = detector.identify_components(t, db, cfg)
+    payload = detector.render_report(reports, args.format, t.target_id, cfg)
     if args.out:
         Path(args.out).write_bytes(payload)
     else:
@@ -106,25 +87,19 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_theta_sweep(args: argparse.Namespace) -> int:
-    try:
-        grid = [segmenter.coerce_theta(v.strip()) for v in args.grid.split(",") if v.strip()]
-        if not grid or any(not 0 <= g < 1 for g in grid):
-            raise ValueError(f"grid thresholds must be in [0, 1): {args.grid}")
-        db = signature_store.load_db(args.db)
-        cutoff = _cutoff(args, db)
-        targets = evalkit.read_manifest(Path(args.targets))
-        truth = None
-        if args.ground_truth:
-            truth = evalkit.GroundTruth.from_json(
-                Path(args.ground_truth).read_text(encoding="utf-8")
-            )
-        scored = {}
-        for target_id, tree in targets:
-            t = detector.fingerprint_target(tree, target_id=target_id)
-            scored[target_id] = detector.score_components(t, db, cutoff)
-    except (DbFormatError, DetectionError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    grid = [segmenter.coerce_theta(v.strip()) for v in args.grid.split(",") if v.strip()]
+    if not grid or any(not 0 <= g < 1 for g in grid):
+        raise ValueError(f"grid thresholds must be in [0, 1): {args.grid}")
+    db = signature_store.load_db(args.db)
+    cutoff = _cutoff(args, db)
+    targets = evalkit.read_manifest(Path(args.targets))
+    truth = None
+    if args.ground_truth:
+        truth = evalkit.GroundTruth.from_json(Path(args.ground_truth).read_text(encoding="utf-8"))
+    scored = {}
+    for target_id, tree in targets:
+        t = detector.fingerprint_target(tree, target_id=target_id)
+        scored[target_id] = detector.score_components(t, db, cutoff)
 
     header = ["theta", "detected"]
     if truth is not None:
@@ -147,14 +122,19 @@ def cmd_theta_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _git(*args: str) -> bytes:
+    """Run git and return its output; OSError with its stderr if it fails."""
+    done = subprocess.run(["git", *args], capture_output=True)
+    if done.returncode != 0:
+        raise OSError(f"git failed: {done.stderr.decode(errors='replace').strip()}")
+    return done.stdout
+
+
 def _git_tag_dates(repo: Path) -> list[tuple[str, str]]:
-    out = subprocess.run(
-        ["git", "-C", str(repo), "for-each-ref", "refs/tags",
-         "--format=%(refname:short)\t%(creatordate:short)"],
-        capture_output=True, text=True, check=True,
-    )
+    out = _git("-C", str(repo), "for-each-ref", "refs/tags",
+               "--format=%(refname:short)\t%(creatordate:short)")
     tags = []
-    for line in out.stdout.splitlines():
+    for line in out.decode().splitlines():
         name, _, date = line.partition("\t")
         if name and date:
             tags.append((name, date))
@@ -163,42 +143,27 @@ def _git_tag_dates(repo: Path) -> list[tuple[str, str]]:
 
 def cmd_collect(args: argparse.Namespace) -> int:
     if shutil.which("git") is None:
-        print(
-            "error: git executable not found; the collect helper needs git "
-            "(the rest of the pipeline does not)",
-            file=sys.stderr,
+        raise FileNotFoundError(
+            "git executable not found; the collect helper needs git "
+            "(the rest of the pipeline does not)"
         )
-        return 1
     out_root = Path(args.out)
     with tempfile.TemporaryDirectory(prefix="osscan-collect-") as tmp:
         clone = Path(tmp) / "repo"
-        try:
-            subprocess.run(
-                ["git", "clone", "--quiet", args.git, str(clone)],
-                check=True, capture_output=True, text=True,
-            )
-            tags = _git_tag_dates(clone)
-        except subprocess.CalledProcessError as exc:
-            print(f"error: git failed: {exc.stderr.strip()}", file=sys.stderr)
-            return 1
+        _git("clone", "--quiet", args.git, str(clone))
+        tags = _git_tag_dates(clone)
         if len(tags) < args.min_tag_count:
-            print(
-                f"error: {args.git} has {len(tags)} tags, need at least "
-                f"{args.min_tag_count}",
-                file=sys.stderr,
+            raise ValueError(
+                f"{args.git} has {len(tags)} tags, need at least {args.min_tag_count}"
             )
-            return 1
         # (version directory, tag, date); a directory name has "/" made "_"
         versions = [(tag.replace("/", "_"), tag, date) for tag, date in sorted(tags)]
         tag_of: dict[str, str] = {}
         for safe, tag, _ in versions:
             if safe in tag_of:
-                print(
-                    f"error: tags {tag_of[safe]} and {tag} both map to version "
-                    f"directory {safe}",
-                    file=sys.stderr,
+                raise ValueError(
+                    f"tags {tag_of[safe]} and {tag} both map to version directory {safe}"
                 )
-                return 1
             tag_of[safe] = tag
         repo_name = clone_name(args.git)
         staged = Path(tmp) / "out" / repo_name
@@ -207,16 +172,12 @@ def cmd_collect(args: argparse.Namespace) -> int:
         for safe, tag, date in versions:
             version_dir = staged / safe
             version_dir.mkdir(parents=True, exist_ok=True)
-            archive = subprocess.run(
-                ["git", "-C", str(clone), "archive", "--format=tar", tag],
-                check=True, capture_output=True,
-            )
-            with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tf:
+            archive = _git("-C", str(clone), "archive", "--format=tar", tag)
+            with tarfile.open(fileobj=io.BytesIO(archive)) as tf:
                 try:
                     tf.extractall(version_dir, filter="data")
                 except tarfile.FilterError as exc:
-                    print(f"error: tag {tag}: refusing archive entry: {exc}", file=sys.stderr)
-                    return 1
+                    raise ValueError(f"tag {tag}: refusing archive entry: {exc}") from exc
             meta_lines.append(f"{safe}\t{date}")
         (staged / "meta.tsv").write_text(
             "\n".join(meta_lines) + "\n", encoding="utf-8", newline="\n"
@@ -282,7 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, DetectionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def console_main() -> None:

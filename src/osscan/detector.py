@@ -25,7 +25,7 @@ from .fingerprint import (
     FuncHash,
     HashIndex,
     HashMemo,
-    _is_cutoff,
+    check_cutoff,
     hash_raw_functions,
     match_hashes,
 )
@@ -45,8 +45,7 @@ class DetectorConfig:
 
     def __post_init__(self) -> None:
         self.theta = check_theta(self.theta)
-        if not _is_cutoff(self.cutoff):
-            raise ValueError(f"cutoff must be a non-negative integer, got {self.cutoff!r}")
+        check_cutoff(self.cutoff)
 
 
 @dataclass(frozen=True)
@@ -116,6 +115,7 @@ def score_components(
     One scan pairs every distinct entry of the DB with the target; each
     signature's phi is read from that pairing over its application code.
     """
+    check_cutoff(cutoff)
     pools = []
     for sig in db.sorted_signatures():
         if not sig.segmented:

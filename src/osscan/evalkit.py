@@ -291,7 +291,6 @@ class SynthProject:
     home_path: dict[str, str]             # fid -> path inside this project
     members_by_version: dict[str, list[str]]  # version -> own fids present
     embeds: list[Embed] = field(default_factory=list)
-    generic_fids: frozenset[str] = frozenset()
 
     @property
     def latest_version(self) -> str:
@@ -409,10 +408,9 @@ def _gen_project(
 
     bodies.update(generic)
     home.update((gid, "src/common.c") for gid, _ in generic)
-    generic_fids = [gid for gid, _ in generic]
 
     members: dict[str, list[str]] = {}
-    carried = core + generic_fids
+    carried = core + [gid for gid, _ in generic]
     for i, vid in enumerate(version_ids):
         if i > 0:
             for _ in range(2):  # functions added in this release and kept
@@ -434,7 +432,6 @@ def _gen_project(
         bodies=bodies,
         home_path=home,
         members_by_version=members,
-        generic_fids=frozenset(generic_fids),
     )
 
 

@@ -80,9 +80,12 @@ def hash_function(text: bytes) -> FuncHash:
     return FuncHash(HashScheme.EXACT, hashlib.sha256(text).hexdigest())
 
 
-def _is_cutoff(value: object) -> bool:
-    """A cutoff setting is a non-negative int; a bool is not one."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+def check_cutoff(value: object) -> int:
+    """Return `value` if it is a distance cutoff: a non-negative int, and
+    not a bool.  ValueError otherwise."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"cutoff must be a non-negative integer, got {value!r}")
+    return value
 
 
 def distance(a: FuncHash, b: FuncHash, cutoff: int = DEFAULT_CUTOFF) -> int:

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import signature_store
-from .fingerprint import DEFAULT_CUTOFF, HashIndex, Matches, best_matches
+from .fingerprint import DEFAULT_CUTOFF, HashIndex, Matches, best_matches, check_cutoff
 # Unused here; kept because bench/spans.py wraps segmenter.match_hashes.
 from .fingerprint import match_hashes  # noqa: F401
 from .signature_store import ComponentDb, OssSignature
@@ -110,6 +110,7 @@ def segment_all(
     application code is every entry minus those matched to any member.
     """
     theta = check_theta(theta)
+    check_cutoff(cutoff)
     sigs = db.sorted_signatures()
     left, m, g = _pair_scores(sigs, cutoff)
     member = np.zeros(g.shape, dtype=bool)

@@ -115,17 +115,12 @@ class ComponentDb:
 
 def make_version_meta(pairs: Iterable[tuple[str, datetime.date]]) -> list[VersionMeta]:
     """Assign ordinals in release order, date ties broken by version id."""
-    items = list(pairs)
-    seen = set()
-    for version_id, _ in items:
-        if version_id in seen:
-            raise SignatureError(f"duplicate version_id {version_id!r}")
-        seen.add(version_id)
-    items.sort(key=lambda p: (p[1], p[0]))
-    return [
+    metas = [
         VersionMeta(version_id=v, release_date=d, ordinal=i)
-        for i, (v, d) in enumerate(items)
+        for i, (v, d) in enumerate(sorted(pairs, key=lambda p: (p[1], p[0])))
     ]
+    _check_version_order(metas)
+    return metas
 
 
 def _check_version_order(versions: Sequence[VersionMeta]) -> None:
@@ -170,6 +165,18 @@ def build_signature(
     return OssSignature(oss_id=oss_id, version_meta=list(metas), entries=entries)
 
 
+def _parse_date(text: str) -> datetime.date | None:
+    """The date `text` spells as YYYY-MM-DD, else None.  Depending on the
+    Python version, `date.fromisoformat` alone also reads other ISO 8601
+    forms, such as `2020-W01-1` and `20200101`."""
+    if not _DATE_RE.match(text):
+        return None
+    try:
+        return datetime.date.fromisoformat(text)
+    except ValueError:  # no such day, e.g. month 13
+        return None
+
+
 def _read_corpus_meta(oss_dir: Path) -> dict[str, datetime.date]:
     dates: dict[str, datetime.date] = {}
     meta_path = oss_dir / "meta.tsv"
@@ -179,7 +186,12 @@ def _read_corpus_meta(oss_dir: Path) -> dict[str, datetime.date]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError(f"{meta_path}:{lineno}: expected 'version_id<TAB>date'")
-        dates[parts[0]] = datetime.date.fromisoformat(parts[1])
+        if parts[0] in dates:
+            raise ValueError(f"{meta_path}:{lineno}: repeated version {parts[0]!r}")
+        release = _parse_date(parts[1])
+        if release is None:
+            raise ValueError(f"{meta_path}:{lineno}: release date {parts[1]!r} is not YYYY-MM-DD")
+        dates[parts[0]] = release
     return dates
 
 
@@ -257,8 +269,7 @@ def write_app_file(root: str | Path, sig: OssSignature) -> None:
 
 def save_db(db: ComponentDb, root: str | Path) -> None:
     """Write `db` under `root`; a header `load_db` would reject writes nothing."""
-    if not fingerprint._is_cutoff(db.meta.cutoff):
-        raise ValueError(f"cutoff must be a non-negative integer, got {db.meta.cutoff!r}")
+    fingerprint.check_cutoff(db.meta.cutoff)
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     (root / "db_meta.json").write_text(_meta_json(db.meta), encoding="utf-8", newline="\n")
@@ -298,23 +309,21 @@ def _load_meta(path: Path) -> DbMeta:
                 f"{path}: db {key} {got!r} incompatible with this build's {want!r}"
             )
     cutoff = doc.get("cutoff", fingerprint.DEFAULT_CUTOFF)
-    if not fingerprint._is_cutoff(cutoff):
-        raise DbFormatError(f"{path}: bad cutoff {cutoff!r}")
-    return DbMeta(cutoff=cutoff)
+    try:
+        return DbMeta(cutoff=fingerprint.check_cutoff(cutoff))
+    except ValueError:
+        raise DbFormatError(f"{path}: bad cutoff {cutoff!r}") from None
 
 
 def _load_versions(path: Path) -> list[VersionMeta]:
     versions: list[VersionMeta] = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         parts = line.split("\t")
-        if len(parts) != 3 or not _ORDINAL_RE.match(parts[0]) or not _DATE_RE.match(parts[2]):
+        release = _parse_date(parts[2]) if len(parts) == 3 else None
+        if release is None or not _ORDINAL_RE.match(parts[0]):
             raise DbFormatError(f"{path}:{lineno}: bad version line {line!r}")
         versions.append(
-            VersionMeta(
-                version_id=parts[1],
-                release_date=datetime.date.fromisoformat(parts[2]),
-                ordinal=int(parts[0]),
-            )
+            VersionMeta(version_id=parts[1], release_date=release, ordinal=int(parts[0]))
         )
     try:
         _check_version_order(versions)
@@ -374,6 +383,8 @@ def load_db(root: str | Path) -> ComponentDb:
         meta_path = oss_dir / "meta.tsv"
         if not sig_path.is_file() or not meta_path.is_file():
             continue
+        if not _OSS_ID_RE.match(oss_dir.name):
+            raise DbFormatError(f"{oss_dir}: invalid oss_id {oss_dir.name!r}")
         versions = _load_versions(meta_path)
         entries = _load_entries(sig_path, len(versions))
         sig = OssSignature(oss_id=oss_dir.name, version_meta=versions, entries=entries)

@@ -10,6 +10,8 @@ import pytest
 from osscan import evalkit
 from osscan.cli import main
 
+from conftest import c_function, write_tree
+
 SMALL = evalkit.CorpusShape(n_standalone=6)
 
 
@@ -95,6 +97,26 @@ def test_preprocess_partial_failure_exit_2(workspace, tmp_path, capsys):
     assert "TOTAL" in captured.out  # the rest was still processed
 
 
+@pytest.mark.parametrize(
+    "meta, line",
+    [
+        ("v1\t2020-W01-1\n", 1),
+        ("v1\t20200101\n", 1),
+        ("v1\t2020-01-01\nv1\t2020-02-01\n", 2),
+    ],
+    ids=["week-date", "compact-date", "repeated-version"],
+)
+def test_preprocess_fails_component_with_bad_meta_line(tmp_path, capsys, meta, line):
+    corpus = tmp_path / "corpus"
+    for oss in ("bad", "good"):
+        write_tree(corpus / oss / "v1", {"a.c": c_function(oss)})
+    (corpus / "bad" / "meta.tsv").write_text(meta)
+    assert main(["preprocess", "--corpus", str(corpus), "--db", str(tmp_path / "db")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad: ") and f"meta.tsv:{line}: " in err
+    assert sorted(p.name for p in (tmp_path / "db").iterdir() if p.is_dir()) == ["good"]
+
+
 def test_preprocess_rejects_negative_cutoff(workspace, tmp_path, capsys):
     root = workspace["root"]
     db_dir = tmp_path / "db"
@@ -149,6 +171,39 @@ def test_detect_rejects_bad_theta(workspace, capsys):
 def test_detect_missing_db_fails(workspace, tmp_path, capsys):
     assert main(["detect", "--db", str(tmp_path / "no_db"), "--target", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("error:")
+    return line
+
+
+def test_preprocess_reports_unwritable_db(workspace, tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    db_dir = tmp_path / "afile" / "db"
+    assert main(["preprocess", "--corpus", str(workspace["root"] / "corpus"), "--db", str(db_dir)]) == 1
+    assert str(db_dir) in _one_error_line(capsys)
+
+
+def test_segment_reports_unwritable_app_file(workspace, tmp_path, capsys):
+    db_dir = tmp_path / "db"
+    assert main(["preprocess", "--corpus", str(workspace["root"] / "corpus"), "--db", str(db_dir)]) == 0
+    capsys.readouterr()
+    app = next(p for p in sorted(db_dir.iterdir()) if p.is_dir()) / "app.txt"
+    app.mkdir()
+    assert main(["segment", "--db", str(db_dir)]) == 1
+    assert str(app) in _one_error_line(capsys)
+
+
+def test_detect_reports_unwritable_out(workspace, tmp_path, capsys):
+    root, bundle = workspace["root"], workspace["bundle"]
+    target = dict(bundle.target_manifest)["t01_exact_a"]
+    out = tmp_path / "nodir" / "x.json"
+    assert main(["detect", "--db", str(root / "db"), "--target", str(target), "--out", str(out)]) == 1
+    assert str(out) in _one_error_line(capsys)
 
 
 def test_theta_sweep_table(workspace, capsys):

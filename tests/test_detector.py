@@ -446,6 +446,12 @@ def test_detector_config_validation():
     assert cfg.theta == Fraction(3, 20)
 
 
+def test_score_components_rejects_negative_cutoff():
+    db = _segmented(ComponentDb(signatures={"verlib": _versioned_sig()}))
+    with pytest.raises(ValueError, match="cutoff"):
+        score_components(_target(["base"]), db, -1)
+
+
 def _reference_evidence(t, sig, version_id, index, cutoff):
     """Evidence from a per-signature `match_hashes` call over the version."""
     ordinal = sig.version_by_id(version_id).ordinal

@@ -15,6 +15,7 @@ from osscan.signature_store import ComponentDb
 
 from conftest import build_sig_from_specs, pair_matches, write_tree
 from oracles import brute_pair
+from tlsh_oracle import reference_distance
 
 
 def test_coerce_theta_is_exact():
@@ -243,8 +244,9 @@ def _lsh(digest_bytes: bytes) -> FuncHash:
 
 def _collision_pool(rng: random.Random) -> list[FuncHash]:
     """Digests built to collide: equal-cost variants (ties broken by the
-    digest), length-byte variants (distance 0 but unequal digests), exact
-    hashes, and unrelated noise."""
+    digest), length-byte variants (distance 0 but unequal digests),
+    variants just past the default cutoff, exact hashes, and unrelated
+    noise."""
     pool: list[FuncHash] = []
     for _ in range(6):
         raw = bytearray(rng.randrange(256) for _ in range(35))
@@ -256,6 +258,23 @@ def _collision_pool(rng: random.Random) -> list[FuncHash]:
         for lvalue in rng.sample(range(256), 2):  # the distance ignores the length byte
             variant = bytearray(raw)
             variant[1] = lvalue
+            pool.append(_lsh(bytes(variant)))
+    for _ in range(2):
+        # five full 0<->3 swings of a code lane (cost 6 each) and 1-6 single
+        # steps put each variant at distance 31-36: a wrong swing cost moves
+        # it across the cutoff of 30
+        raw = bytearray(rng.randrange(256) for _ in range(35))
+        positions = rng.sample(range(3, 35), 11)
+        for pos in positions:
+            raw[pos] &= 0xFC  # low lane 0
+        pool.append(_lsh(bytes(raw)))
+        for steps in range(1, 7):
+            variant = bytearray(raw)
+            for pos in positions[:5]:
+                variant[pos] |= 3
+            for pos in positions[5 : 5 + steps]:
+                variant[pos] |= 1
+            assert reference_distance(raw.hex(), variant.hex(), False) == 30 + steps
             pool.append(_lsh(bytes(variant)))
     pool.extend(FuncHash(HashScheme.EXACT, f"{i:064x}") for i in range(6))
     pool.extend(_lsh(bytes(rng.randrange(256) for _ in range(35))) for _ in range(8))
@@ -315,7 +334,9 @@ def test_db_wide_pass_equals_per_pair_reference(seed: int):
             for k in range(6)
         }
     )
-    for theta, cutoff in ((Fraction(1, 10), 30), (Fraction(1, 4), 0), (Fraction(1, 10), -1)):
+    with pytest.raises(ValueError, match="cutoff"):
+        segment_all(db, cutoff=-1)
+    for theta, cutoff in ((Fraction(1, 10), 30), (Fraction(1, 4), 0)):
         expected = _per_pair_reference(db, theta, cutoff)
         assert segment_all(db, theta, cutoff) == expected
         sigs = db.sorted_signatures()

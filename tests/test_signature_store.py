@@ -392,8 +392,8 @@ def test_load_rejects_mistyped_version_record(tmp_path: Path, record: str):
 
 @pytest.mark.parametrize(
     "line",
-    ["\u00b2\tv1\t2019-01-01", "0\tv1\t\uff12019-01-01"],
-    ids=["superscript-ordinal", "fullwidth-date"],
+    ["\u00b2\tv1\t2019-01-01", "0\tv1\t\uff12019-01-01", "0\tv1\t2019-13-01"],
+    ids=["superscript-ordinal", "fullwidth-date", "no-such-month"],
 )
 def test_load_rejects_non_ascii_digits_in_version_line(tmp_path: Path, line: str):
     db = _two_sig_db()
@@ -403,6 +403,14 @@ def test_load_rejects_non_ascii_digits_in_version_line(tmp_path: Path, line: str
     assert lines[0] == "0\tv1\t2019-01-01"
     meta_file.write_text("\n".join([line] + lines[1:]) + "\n", encoding="utf-8")
     with pytest.raises(DbFormatError, match=r"meta\.tsv:1: bad version line"):
+        load_db(tmp_path / "db")
+
+
+def test_load_rejects_directory_that_is_not_an_oss_id(tmp_path: Path):
+    db = _two_sig_db()
+    save_db(db, tmp_path / "db")
+    (tmp_path / "db" / "alpha").rename(tmp_path / "db" / "bad name")
+    with pytest.raises(DbFormatError, match="invalid oss_id 'bad name'"):
         load_db(tmp_path / "db")
 
 
