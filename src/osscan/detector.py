@@ -19,6 +19,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .extractor import extract_functions
 from .fingerprint import (
     DEFAULT_CUTOFF,
@@ -107,6 +109,42 @@ def fingerprint_target(
     )
 
 
+class _ScoringIndex:
+    """What scoring needs from a DB whatever the target: the packed index
+    of every distinct entry, the row of each entry digest, and each
+    signature's application-code rows (sorted, so in digest order), in
+    oss id order.
+
+    It keeps the objects it was built from and fits a DB only while each
+    of them is still in place, compared by identity: an equal copy may be
+    edited later, and an id() may be reused."""
+
+    def __init__(self, db: ComponentDb, state: list[object]) -> None:
+        self.state = state
+        self.entries = HashIndex(h for sig in db.signatures.values() for h in sig.entries)
+        self.row = {h.digest: r for r, h in enumerate(self.entries.hashes)}
+        self.app_rows = [
+            np.array(
+                sorted(self.row[h.digest] for h in sig.app_entries or () if h.digest in self.row),
+                dtype=np.intp,
+            )
+            for sig in db.sorted_signatures()
+        ]
+
+    def fits(self, state: list[object]) -> bool:
+        return len(state) == len(self.state) and all(a is b for a, b in zip(state, self.state))
+
+
+def _scoring_index(db: ComponentDb) -> _ScoringIndex:
+    """The DB's scoring index, built again if a signature, its entries or
+    its application code was replaced, added or removed since."""
+    state = [obj for sig in db.sorted_signatures() for obj in (sig, sig.entries, sig.app_entries)]
+    index = db.scoring_index
+    if not isinstance(index, _ScoringIndex) or not index.fits(state):
+        index = db.scoring_index = _ScoringIndex(db, state)
+    return index
+
+
 def score_components(
     t: TargetFingerprint, db: ComponentDb, cutoff: int = DEFAULT_CUTOFF
 ) -> list[ScoredComponent]:
@@ -114,27 +152,34 @@ def score_components(
 
     One scan pairs every distinct entry of the DB with the target; each
     signature's phi is read from that pairing over its application code.
+    The DB side of the scan is packed once per DB (`_ScoringIndex`), so a
+    call packs only the target.
     """
     check_cutoff(cutoff)
-    pools = []
-    for sig in db.sorted_signatures():
+    sigs = db.sorted_signatures()
+    for sig in sigs:
         if not sig.segmented:
             raise DetectionError(
                 f"run segmentation first: {sig.oss_id} has no application-code set"
             )
-        pool = sig.app_entries or set()
-        if not pool:
+        if not sig.app_entries:
             logger.warning("skipping %s: empty application-code set", sig.oss_id)
-            continue
-        pools.append((sig, pool))
-    entries = (h for sig in db.signatures.values() for h in sig.entries)
-    pairing = match_hashes(entries, HashIndex(t.functions), cutoff)
+    index = _scoring_index(db)
+    pairing = match_hashes(index.entries, HashIndex(t.functions), cutoff)
+    hit = np.zeros(len(index.entries), dtype=bool)
+    hit[[index.row[h.digest] for h in pairing]] = True
+    hashes = index.entries.hashes
     scored = []
-    for sig, pool in pools:
-        matched = {h: hit for h, hit in pairing.items() if h in pool}
+    for sig, rows in zip(sigs, index.app_rows):
+        if not sig.app_entries:
+            continue
+        matched = {hashes[r]: pairing[hashes[r]] for r in rows[hit[rows]].tolist()}
         scored.append(
             ScoredComponent(
-                sig=sig, phi=Fraction(len(matched), len(pool)), matched=matched, pairing=pairing
+                sig=sig,
+                phi=Fraction(len(matched), len(sig.app_entries)),
+                matched=matched,
+                pairing=pairing,
             )
         )
     return scored

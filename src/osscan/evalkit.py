@@ -85,6 +85,23 @@ def _plant_from_doc(doc: dict) -> PlantSpec:
     return PlantSpec(**fields)
 
 
+# the top-level members of a ground-truth document, and their JSON kinds
+_GROUND_TRUTH_SHAPE = {
+    "targets": dict,
+    "plants": dict,
+    "nested_targets": list,
+    "unsegmented_fps": dict,
+    "ripple_targets": list,
+}
+
+
+def _json_kind(value: object) -> str:
+    if value is None:
+        return "null"
+    kinds = {dict: "object", list: "array", str: "string", bool: "boolean"}
+    return kinds.get(type(value), "number")
+
+
 @dataclass(frozen=True)
 class GroundTruthEntry:
     oss_id: str
@@ -134,7 +151,18 @@ class GroundTruth:
 
     @classmethod
     def from_json(cls, text: str) -> "GroundTruth":
+        """Read what `to_json` writes; ValueError for any other shape."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError(f"ground truth is a JSON {_json_kind(doc)}, not a JSON object")
+        for key, kind in _GROUND_TRUTH_SHAPE.items():
+            if key not in doc:
+                raise ValueError(f"ground truth has no {key!r} member")
+            if not isinstance(doc[key], kind):
+                raise ValueError(
+                    f"ground truth {key!r} is a JSON {_json_kind(doc[key])}, "
+                    f"not a JSON {_json_kind(kind())}"
+                )
         gt = cls()
         gt.targets = {
             tid: tuple(

@@ -35,6 +35,7 @@ literals are otherwise preserved verbatim.
 from __future__ import annotations
 
 import logging
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,19 +44,22 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_EXTENSIONS = frozenset({".c", ".cc", ".cpp", ".cxx", ".h", ".hh", ".hpp"})
 
-_WS = frozenset(b" \t\r\n")
+_WS_BYTES = b" \t\r\n"
+_WS = frozenset(_WS_BYTES)
 
 # Literals are written unrolled ("[^"\\]*(?:\\.[^"\\]*)*"): the alternation
 # form (?:\\.|[^"\\])* keeps a backtracking frame per byte (120 MB for one
-# 1 MB literal), the unrolled one only per escape.
+# 1 MB literal), the unrolled one only per escape.  normalize matches
+# comments and literals only; one `bytes.translate` then deletes whitespace,
+# so no Python code runs per whitespace run.
 _NORMALIZE_RE = re.compile(
     rb"""/[ \t\r\n]*(?:/[^\r\n]*|\*.*?(?:\*/|\Z))  # comment, opener may be split
-    |[ \t\r\n]+
     |("[^"\\]*(?:\\.[^"\\]*)*"?|'[^'\\]*(?:\\.[^'\\]*)*'?)""",
     re.S | re.X,
 )
-# what a literal keeps: findall skips whitespace and a backslash escaping it
-_LITERAL_KEEP_RE = re.compile(rb"[^\\ \t\r\n]+|\\[^ \t\r\n]")
+# each escape of a literal, in the lexer's pairing; one escaping a whitespace
+# byte is dropped with it
+_ESCAPE_RE = re.compile(rb"(\\[^ \t\r\n])|\\[ \t\r\n]")
 # The mask also ends a literal at a line end no backslash escapes, as a
 # compiler does, so a stray quote ("#error don't") cannot hide the rest of
 # the file.  normalize keeps literals open: its idempotence needs that.
@@ -92,7 +96,9 @@ class RawFunction:
 
 def _normalize_token(match: re.Match) -> bytes:
     literal = match[1]
-    return b"" if literal is None else b"".join(_LITERAL_KEEP_RE.findall(literal))
+    if literal is None:
+        return b""
+    return _ESCAPE_RE.sub(rb"\1", literal) if b"\\" in literal else literal
 
 
 def normalize(body: bytes) -> bytes:
@@ -102,7 +108,7 @@ def normalize(body: bytes) -> bytes:
     stripped to end of input; an unterminated literal keeps the remainder
     as literal content.  Idempotent: normalize(normalize(x)) == normalize(x).
     """
-    return _NORMALIZE_RE.sub(_normalize_token, body)
+    return _NORMALIZE_RE.sub(_normalize_token, body).translate(None, _WS_BYTES)
 
 
 def _blank(match: re.Match) -> bytes:
@@ -225,12 +231,37 @@ def extract_from_source(file_path: str, data: bytes) -> list[RawFunction]:
     return results
 
 
-def list_source_files(root: Path) -> list[Path]:
-    files = [
-        p for p in root.rglob("*") if p.is_file() and p.suffix.lower() in DEFAULT_EXTENSIONS
-    ]
-    files.sort(key=lambda p: p.relative_to(root).as_posix())
-    return files
+def _is_source_name(name: str) -> bool:
+    """A name with a source suffix, in any case; as with `Path.suffix`, a
+    leading dot does not start a suffix (".c" has none)."""
+    dot = name.rfind(".")
+    return 0 < dot < len(name) - 1 and name[dot:].lower() in DEFAULT_EXTENSIONS
+
+
+def list_source_files(root: Path) -> list[tuple[str, Path]]:
+    """(repo-relative POSIX path, path) of every source file under `root`,
+    sorted by the relative path.  A symlink to a file is listed; a
+    symlinked directory is not entered, nor is one that cannot be read."""
+    found: list[tuple[str, str]] = []
+    pending = [("", str(root))]
+    while pending:
+        prefix, directory = pending.pop()
+        try:
+            with os.scandir(directory) as it:
+                entries = list(it)
+        except OSError:
+            continue
+        for entry in entries:
+            rel = prefix + entry.name
+            try:
+                if entry.is_dir(follow_symlinks=False):
+                    pending.append((rel + "/", entry.path))
+                elif _is_source_name(entry.name) and entry.is_file():
+                    found.append((rel, entry.path))
+            except OSError:
+                continue
+    found.sort()
+    return [(rel, Path(path)) for rel, path in found]
 
 
 def extract_functions(
@@ -250,8 +281,7 @@ def extract_functions(
         raise NotADirectoryError(f"source tree not found: {root}")
     seen = {} if seen is None else seen
     results: list[RawFunction] = []
-    for path in list_source_files(root):
-        rel = path.relative_to(root).as_posix()
+    for rel, path in list_source_files(root):
         try:
             data = path.read_bytes()
         except OSError as exc:

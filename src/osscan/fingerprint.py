@@ -241,16 +241,16 @@ def best_matches(
 
 
 def match_hashes(
-    left: Iterable[FuncHash], index: HashIndex, cutoff: int = DEFAULT_CUTOFF
+    query: HashIndex, index: HashIndex, cutoff: int = DEFAULT_CUTOFF
 ) -> dict[FuncHash, tuple[FuncHash, int]]:
-    """Pair each left hash with at most one indexed hash.
+    """Pair each query hash with at most one indexed hash.
 
-    Digest equality wins first; remaining left hashes take the
-    minimum-distance similar candidate, ties broken by the smaller right
-    digest.  Result insertion order follows sorted left digests.  `index`
-    is one owner's hashes (built without owner ids).
+    Digest equality wins first; remaining query hashes take the
+    minimum-distance similar candidate, ties broken by the smaller index
+    digest.  Result insertion order follows sorted query digests.  Both
+    indexes hold one owner's hashes (built without owner ids), so a caller
+    that queries with the same hashes many times packs them once.
     """
-    query = HashIndex(left)
     m = best_matches(query, index, cutoff)
     return {
         query.hashes[i]: (index.hashes[j], d)

@@ -30,13 +30,17 @@ DEFAULT_THETA = Fraction(1, 10)
 
 def coerce_theta(theta: object) -> Fraction:
     """Accept float/str/Fraction thresholds without binary-float surprises
-    ("0.1" compares as exactly 1/10)."""
+    ("0.1" compares as exactly 1/10).  ValueError for a string that is no
+    number, or a ratio with a zero denominator ("1/0")."""
     if isinstance(theta, Fraction):
         return theta
     if isinstance(theta, float):
         return Fraction(str(theta))
     if isinstance(theta, (int, str)):
-        return Fraction(theta)
+        try:
+            return Fraction(theta)
+        except ZeroDivisionError:
+            raise ValueError(f"theta {theta!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret theta {theta!r}")
 
 

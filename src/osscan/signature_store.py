@@ -108,6 +108,9 @@ class DbMeta:
 class ComponentDb:
     signatures: dict[str, OssSignature] = field(default_factory=dict)
     meta: DbMeta = field(default_factory=DbMeta)
+    # detection's index of the signatures, built on the first scoring call
+    # and rebuilt when a signature or its entry sets are replaced
+    scoring_index: object = field(default=None, init=False, repr=False, compare=False)
 
     def sorted_signatures(self) -> list[OssSignature]:
         return [self.signatures[k] for k in sorted(self.signatures)]

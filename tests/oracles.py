@@ -11,6 +11,7 @@ from __future__ import annotations
 import datetime
 import functools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -77,6 +78,31 @@ def naive_table_for_dir(oss_dir: Path) -> NaiveTable:
                 NaiveRow(ordinal, vid, day, raw.file_path, fingerprint.hash_function(text))
             )
     return NaiveTable(oss_id=oss_dir.name, versions=versions, rows=rows)
+
+
+# Normalization as one callback per token, whitespace runs included: the
+# rules of `extractor.normalize` written out token by token.
+_REFERENCE_TOKEN_RE = re.compile(
+    rb"""/[ \t\r\n]*(?:/[^\r\n]*|\*.*?(?:\*/|\Z))  # comment, opener may be split
+    |[ \t\r\n]+
+    |("[^"\\]*(?:\\.[^"\\]*)*"?|'[^'\\]*(?:\\.[^'\\]*)*'?)""",
+    re.S | re.X,
+)
+# what a literal keeps: findall skips whitespace and a backslash escaping it
+_REFERENCE_LITERAL_KEEP_RE = re.compile(rb"[^\\ \t\r\n]+|\\[^ \t\r\n]")
+
+
+def _reference_token(match: re.Match) -> bytes:
+    literal = match[1]
+    if literal is None:
+        return b""
+    return b"".join(_REFERENCE_LITERAL_KEEP_RE.findall(literal))
+
+
+def reference_normalize(body: bytes) -> bytes:
+    """Comments and whitespace runs dropped, each literal kept but for its
+    whitespace and a backslash escaping whitespace."""
+    return _REFERENCE_TOKEN_RE.sub(_reference_token, body)
 
 
 @functools.cache

@@ -26,7 +26,9 @@ def _distinct_work(scopes: list[list[Path]]) -> dict[str, int]:
     normalized bodies once costs, summed over scopes (lists of trees)."""
     count = dict.fromkeys(("files", "functions", "normalize", "hashes", "digests"), 0)
     for trees in scopes:
-        contents = {p.read_bytes() for tree in trees for p in extractor.list_source_files(tree)}
+        contents = {
+            p.read_bytes() for tree in trees for _, p in extractor.list_source_files(tree)
+        }
         functions = [f for data in contents for f in extractor.extract_from_source("x.c", data)]
         texts = {extractor.normalize(f.body) for f in functions} - {b""}
         count["files"] += len(contents)

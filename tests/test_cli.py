@@ -271,6 +271,26 @@ def test_theta_sweep_rejects_bad_grid(workspace, capsys):
     assert "grid" in capsys.readouterr().err
 
 
+def test_segment_rejects_zero_denominator_theta(workspace, capsys):
+    root = workspace["root"]
+    before = _tree_bytes(root / "db")
+    assert main(["segment", "--db", str(root / "db"), "--theta", "1/0"]) == 1
+    assert "theta" in _one_error_line(capsys)
+    assert _tree_bytes(root / "db") == before
+
+
+@pytest.mark.parametrize("text", ["[]", '{"targets": []}'], ids=["array", "targets-array"])
+def test_theta_sweep_reports_ground_truth_of_wrong_shape(workspace, tmp_path, capsys, text):
+    root = workspace["root"]
+    truth = tmp_path / "truth.json"
+    truth.write_text(text)
+    assert main(
+        ["theta-sweep", "--db", str(root / "db"), "--targets",
+         str(root / "targets" / "manifest.tsv"), "--ground-truth", str(truth)]
+    ) == 1
+    assert "ground truth" in _one_error_line(capsys)
+
+
 # --- collect ------------------------------------------------------------
 
 

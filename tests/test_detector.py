@@ -456,7 +456,7 @@ def _reference_evidence(t, sig, version_id, index, cutoff):
     """Evidence from a per-signature `match_hashes` call over the version."""
     ordinal = sig.version_by_id(version_id).ordinal
     entries = [e for e in sig.entries.values() if ordinal in e.versions]
-    paired = match_hashes((e.hash for e in entries), index, cutoff)
+    paired = match_hashes(HashIndex(e.hash for e in entries), index, cutoff)
     return [
         MatchEvidence(
             digest=e.hash.digest,
@@ -493,7 +493,7 @@ def test_single_scan_equals_per_signature_reference(nested_db):
     scored = {s.sig.oss_id: s for s in score_components(t, db, cfg.cutoff)}
     assert sorted(scored) == sorted(db.signatures)
     for oss_id, sig in db.signatures.items():
-        matched = match_hashes(sig.app_entries, index, cfg.cutoff)
+        matched = match_hashes(HashIndex(sig.app_entries), index, cfg.cutoff)
         assert scored[oss_id].matched == matched
         assert list(scored[oss_id].matched) == list(matched)
         assert scored[oss_id].phi == Fraction(len(matched), len(sig.app_entries))
@@ -505,3 +505,73 @@ def test_single_scan_equals_per_signature_reference(nested_db):
         expected = _reference_evidence(t, sig, report.version_id, index, cfg.cutoff)
         assert report.evidence == expected
         assert report.identical + report.modified == len(expected)
+
+
+# --- the scoring index kept on a DB ---------------------------------------
+
+
+def _scores(t, db) -> list:
+    return [(s.sig.oss_id, s.phi, list(s.matched.items())) for s in score_components(t, db)]
+
+
+def _fresh(db: ComponentDb) -> ComponentDb:
+    """The same signatures in a new DB, so with no scoring index yet."""
+    return ComponentDb(signatures=dict(db.signatures), meta=db.meta)
+
+
+def test_scoring_index_is_built_once_per_db(nested_db):
+    db = _segmented(nested_db)
+    t = _target(["river00", "rock01", "ship02"])
+    first = _scores(t, db)
+    index = db.scoring_index
+    assert index is not None
+    assert _scores(_target(["wander03"]), db) == _scores(_target(["wander03"]), _fresh(db))
+    assert db.scoring_index is index
+    assert _scores(t, db) == first
+
+
+def test_scoring_index_follows_resegmentation():
+    inner = build_sig_from_specs(
+        "inner", [("v1", "2014-01-01", {"i.c": [f"in{i}" for i in range(10)]})]
+    )
+    shell = build_sig_from_specs(
+        "shell",
+        [("v1", "2018-01-01", {"s.c": [f"in{i}" for i in range(3)] + [f"sh{i}" for i in range(10)]})],
+    )
+    db = ComponentDb(signatures={"inner": inner, "shell": shell})
+    segmenter.apply_segmentation(db, segmenter.segment_all(db, theta=Fraction(1, 10)))
+    t = _target(["in0", "in1", "in2", "sh0", "sh1"])
+    assert dict((oss, phi) for oss, phi, _ in _scores(t, db))["shell"] == Fraction(2, 10)
+    segmenter.apply_segmentation(db, segmenter.segment_all(db, theta=Fraction(1, 2)))
+    scores = _scores(t, db)
+    assert dict((oss, phi) for oss, phi, _ in scores)["shell"] == Fraction(5, 13)
+    assert scores == _scores(t, _fresh(db))
+
+
+def test_scoring_index_follows_replaced_added_and_removed_signatures(nested_db):
+    db = _segmented(nested_db)
+    t = _target(["river00", "rock01", "ship02", "wander03", "other0", "other1"])
+    _scores(t, db)
+
+    other = build_sig_from_specs(
+        "wanderer", [("w1", "2016-03-01", {"o.c": ["other0", "other1", "other2"]})]
+    )
+    other.is_prime, other.app_entries = True, set(other.entries)
+    db.signatures["wanderer"] = other
+    replaced = _scores(t, db)
+    assert ("wanderer", Fraction(2, 3)) in [(oss, phi) for oss, phi, _ in replaced]
+    assert replaced == _scores(t, _fresh(db))
+
+    late = build_sig_from_specs("late", [("l1", "2020-01-01", {"l.c": ["other0"]})])
+    db.signatures["late"] = late
+    with pytest.raises(DetectionError, match="run segmentation first"):
+        score_components(t, db)
+    late.is_prime, late.app_entries = True, set(late.entries)
+    added = _scores(t, db)
+    assert ("late", Fraction(1)) in [(oss, phi) for oss, phi, _ in added]
+    assert added == _scores(t, _fresh(db))
+
+    del db.signatures["rockbase"]
+    removed = _scores(t, db)
+    assert "rockbase" not in [oss for oss, _, _ in removed]
+    assert removed == _scores(t, _fresh(db))

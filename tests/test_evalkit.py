@@ -170,6 +170,19 @@ def test_ground_truth_json_roundtrip(tmp_path: Path):
     assert on_disk == text
 
 
+@pytest.mark.parametrize(
+    "text, shape",
+    [
+        ("[]", "ground truth is a JSON array, not a JSON object"),
+        ('{"targets": []}', "ground truth 'targets' is a JSON array, not a JSON object"),
+    ],
+)
+def test_ground_truth_of_wrong_shape_is_a_value_error(text, shape):
+    with pytest.raises(ValueError) as excinfo:
+        GroundTruth.from_json(text)
+    assert str(excinfo.value) == shape
+
+
 def test_manifest_roundtrip(tmp_path: Path):
     bundle = generate_corpus(seed=8, out_dir=tmp_path, shape=SMALL)
     manifest = evalkit.read_manifest(tmp_path / "corpus" / "manifest.tsv")

@@ -11,10 +11,12 @@ from osscan.extractor import (
     RawFunction,
     extract_from_source,
     extract_functions,
+    list_source_files,
     normalize,
 )
 
 from conftest import write_tree
+from oracles import reference_normalize
 
 
 # --- normalize ---------------------------------------------------------
@@ -79,6 +81,20 @@ def test_normalize_idempotent_arbitrary_bytes(data: bytes):
     once = normalize(data)
     assert normalize(once) == once
     assert not set(once) & {0x20, 0x09, 0x0A, 0x0D}
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(
+            [b"/", b"*", b"//", b"/*", b"*/", b"/ /", b"/ *", b'"', b"'", b"\\",
+             b" ", b"\t", b"\r", b"\n", b"\r\n", b"a", b"{", b";", b"\x80", b"\xff"]
+        ),
+        max_size=60,
+    ).map(b"".join)
+)
+def test_normalize_equals_token_reference(data: bytes):
+    assert normalize(data) == reference_normalize(data)
 
 
 # --- extract_from_source ----------------------------------------------
@@ -284,6 +300,27 @@ def test_unreadable_file_warns_and_skips(tmp_path: Path, caplog, monkeypatch):
 def test_missing_root_raises(tmp_path: Path):
     with pytest.raises(NotADirectoryError):
         extract_functions(tmp_path / "nope")
+
+
+def test_source_file_list_is_pinned(tmp_path: Path):
+    """Suffixes in any case, a symlinked file read, a symlinked directory
+    and a dangling link skipped, sorted by relative POSIX path."""
+    names = [
+        "b/x.C", "a.c", "A.H", "Z.cPP", "nested/deep/y.hpp", "nested/deep/w.Hh",
+        "nested/z.txt", ".c", "noext", "dir.c/in.c", "a-b.c", "a/b.c", "a_b.c",
+    ]
+    write_tree(tmp_path, {name: b"int f(void){return 1;}" for name in names})
+    (tmp_path / "link.c").symlink_to("a.c")
+    (tmp_path / "linkdir").symlink_to("nested", target_is_directory=True)
+    (tmp_path / "dangling.c").symlink_to("missing.c")
+    expected = [
+        "A.H", "Z.cPP", "a-b.c", "a.c", "a/b.c", "a_b.c", "b/x.C", "dir.c/in.c",
+        "link.c", "nested/deep/w.Hh", "nested/deep/y.hpp",
+    ]
+    listed = list_source_files(tmp_path)
+    assert [rel for rel, _ in listed] == expected
+    assert [path for _, path in listed] == [tmp_path / rel for rel in expected]
+    assert [f.file_path for f in extract_functions(tmp_path)] == expected
 
 
 def test_paths_are_posix_relative(tmp_path: Path):

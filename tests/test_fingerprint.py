@@ -204,8 +204,8 @@ def test_index_exact_lookup():
     index = HashIndex(hashes)
     assert len(index) == 6
     # a negative cutoff leaves digest equality as the only way to match
-    assert match_hashes(hashes, index, cutoff=-1) == {h: (h, 0) for h in hashes}
-    assert match_hashes([_lsh_hash("absent")], index, cutoff=-1) == {}
+    assert match_hashes(HashIndex(hashes), index, cutoff=-1) == {h: (h, 0) for h in hashes}
+    assert match_hashes(HashIndex([_lsh_hash("absent")]), index, cutoff=-1) == {}
 
 
 def test_index_scan_matches_bruteforce():
@@ -230,14 +230,14 @@ def test_match_finds_pairs_whose_quartile_bytes_differ_at_any_index_size():
         for row in rng.integers(0, 256, size=(100_001, 35), dtype=np.uint8)
     ]
     index = HashIndex(noise + [near])
-    assert match_hashes([base], index, cutoff=DEFAULT_CUTOFF) == {base: (near, 12)}
+    assert match_hashes(HashIndex([base]), index, cutoff=DEFAULT_CUTOFF) == {base: (near, 12)}
 
 
 def test_single_row_index_finds_near_row():
     base = _lsh_hash("bucket", 300)
     near = FuncHash(HashScheme.LSH, _flip_code_dibit(base.digest, 3, 1))
     assert (near, 1) in _rows_within(base, [near], cutoff=5)
-    assert match_hashes([base], HashIndex([near]), cutoff=5) == {base: (near, 1)}
+    assert match_hashes(HashIndex([base]), HashIndex([near]), cutoff=5) == {base: (near, 1)}
 
 
 def test_scan_returns_every_row_within_cutoff():
@@ -267,7 +267,7 @@ def test_match_exact_takes_precedence():
     shared = _lsh_hash("shared", 300)
     near = FuncHash(HashScheme.LSH, _flip_code_dibit(shared.digest, 0, 0))
     index = HashIndex([shared, near])
-    matched = match_hashes([shared], index, cutoff=30)
+    matched = match_hashes(HashIndex([shared]), index, cutoff=30)
     assert matched[shared] == (shared, 0)
 
 
@@ -279,7 +279,7 @@ def test_match_prefers_minimum_distance_then_digest():
         HashScheme.LSH, _flip_code_dibit(_flip_code_dibit(base.digest, 1, 1), 2, 2)
     )
     index = HashIndex([two, far, one])
-    matched = match_hashes([base], index, cutoff=30)
+    matched = match_hashes(HashIndex([base]), index, cutoff=30)
     winner, d = matched[base]
     assert d == 1
     assert winner == min([one, two], key=lambda h: h.digest)
@@ -288,12 +288,12 @@ def test_match_prefers_minimum_distance_then_digest():
 def test_match_unmatched_left_absent():
     index = HashIndex([_lsh_hash("only", 300)])
     lone = hash_function(b"tiny")
-    assert match_hashes([lone], index, cutoff=30) == {}
+    assert match_hashes(HashIndex([lone]), index, cutoff=30) == {}
 
 
 def test_match_insertion_order_sorted_by_digest():
     index_hashes = [_lsh_hash(f"d{i}", 200) for i in range(6)]
     index = HashIndex(index_hashes)
-    matched = match_hashes(list(reversed(index_hashes)), index, cutoff=30)
+    matched = match_hashes(HashIndex(reversed(index_hashes)), index, cutoff=30)
     digests = [h.digest for h in matched]
     assert digests == sorted(digests)

@@ -304,7 +304,7 @@ def _per_pair_reference(db: ComponentDb, theta: Fraction, cutoff: int) -> dict:
         for x in db.sorted_signatures():
             if x.oss_id == s.oss_id:
                 continue
-            matched = match_hashes(s.entries, HashIndex(x.entries), cutoff)
+            matched = match_hashes(HashIndex(s.entries), HashIndex(x.entries), cutoff)
             assert matched == brute_pair(set(s.entries), set(x.entries), cutoff)
             g = sum(
                 1
