@@ -31,7 +31,7 @@ from .fingerprint import (
     hash_raw_functions,
     match_hashes,
 )
-from .segmenter import DEFAULT_THETA, check_theta
+from .segmenter import DEFAULT_THETA, check_theta, db_index
 from .signature_store import ComponentDb, OssSignature, SignatureEntry
 
 logger = logging.getLogger(__name__)
@@ -111,9 +111,8 @@ def fingerprint_target(
 
 class _ScoringIndex:
     """What scoring needs from a DB whatever the target: the packed index
-    of every distinct entry, the row of each entry digest, and each
-    signature's application-code rows (sorted, so in digest order), in
-    oss id order.
+    of every distinct entry (`db_index`) and each signature's
+    application-code rows (sorted, so in digest order), in oss id order.
 
     It keeps the objects it was built from and fits a DB only while each
     of them is still in place, compared by identity: an equal copy may be
@@ -121,15 +120,12 @@ class _ScoringIndex:
 
     def __init__(self, db: ComponentDb, state: list[object]) -> None:
         self.state = state
-        self.entries = HashIndex(h for sig in db.signatures.values() for h in sig.entries)
-        self.row = {h.digest: r for r, h in enumerate(self.entries.hashes)}
-        self.app_rows = [
-            np.array(
-                sorted(self.row[h.digest] for h in sig.app_entries or () if h.digest in self.row),
-                dtype=np.intp,
-            )
-            for sig in db.sorted_signatures()
-        ]
+        sigs = db.sorted_signatures()
+        self.entries = db_index(sigs)
+        app = [h.digest for sig in sigs for h in sig.app_entries or ()]
+        k, rows = self.entries.find(np.array(app, dtype="S"))
+        ends = np.cumsum([len(sig.app_entries or ()) for sig in sigs])
+        self.app_rows = [np.sort(r) for r in np.split(rows, np.searchsorted(k, ends[:-1]))]
 
     def fits(self, state: list[object]) -> bool:
         return len(state) == len(self.state) and all(a is b for a, b in zip(state, self.state))
@@ -165,10 +161,15 @@ def score_components(
         if not sig.app_entries:
             logger.warning("skipping %s: empty application-code set", sig.oss_id)
     index = _scoring_index(db)
-    pairing = match_hashes(index.entries, HashIndex(t.functions), cutoff)
+    target = HashIndex(t.functions)
+    m = match_hashes(index.entries, target, cutoff)
     hit = np.zeros(len(index.entries), dtype=bool)
-    hit[[index.row[h.digest] for h in pairing]] = True
+    hit[m.left] = True
     hashes = index.entries.hashes
+    pairing = {
+        hashes[i]: (target.hashes[j], d)
+        for i, j, d in zip(m.left.tolist(), m.right.tolist(), m.distance.tolist())
+    }
     scored = []
     for sig, rows in zip(sigs, index.app_rows):
         if not sig.app_entries:

@@ -78,28 +78,52 @@ def _plant_doc(plant: PlantSpec) -> dict:
 
 
 def _plant_from_doc(doc: dict) -> PlantSpec:
-    fields = dict(doc)
+    fields = dict(doc, relocation=tuple(map(tuple, doc["relocation"])) if doc["relocation"] else None)
     fields["oss_id"] = fields.pop("oss")
-    relocation = fields["relocation"]
-    fields["relocation"] = tuple(map(tuple, relocation)) if relocation else None
     return PlantSpec(**fields)
 
 
-# the top-level members of a ground-truth document, and their JSON kinds
-_GROUND_TRUTH_SHAPE = {
-    "targets": dict,
-    "plants": dict,
-    "nested_targets": list,
-    "unsegmented_fps": dict,
-    "ripple_targets": list,
+# The shape of a ground-truth document: a type is a JSON scalar (a float
+# also takes an integer), [shape] an array of shape, {str: shape} an
+# object of any keys, another dict an object of exactly its members, and
+# (None, shape) null or shape.
+_PLANT_SHAPE = {
+    "oss": str, "mode": str, "source_version": str, "keep_ratio": float, "mutation_rate": float,
+    "relocation": (None, [[str]]), "depth": int, "mix_adjacent": int,
 }
+_GROUND_TRUTH_SHAPE = {
+    "targets": {str: [{"oss": str, "versions": [str], "patterns": (None, [str])}]},
+    "plants": {str: [_PLANT_SHAPE]},
+    "nested_targets": [str],
+    "unsegmented_fps": {str: [str]},
+    "ripple_targets": [str],
+}
+_JSON_KIND = {dict: "object", list: "array", str: "string", bool: "boolean", int: "number",
+              float: "number", type(None): "null"}
 
 
-def _json_kind(value: object) -> str:
-    if value is None:
-        return "null"
-    kinds = {dict: "object", list: "array", str: "string", bool: "boolean"}
-    return kinds.get(type(value), "number")
+def _check_shape(value: object, shape: object, where: str) -> None:
+    """ValueError naming `where` unless `value` (from `json.loads`) has
+    `shape` (see `_GROUND_TRUTH_SHAPE`)."""
+    if isinstance(shape, tuple):
+        if value is None:
+            return
+        shape = shape[1]
+    kind = type(shape) if isinstance(shape, (list, dict)) else shape
+    if type(value) is not kind and (kind, type(value)) != (float, int):
+        raise ValueError(f"{where} is a JSON {_JSON_KIND[type(value)]}, not a JSON {_JSON_KIND[kind]}")
+    if kind is list:
+        for n, item in enumerate(value):
+            _check_shape(item, shape[0], f"{where}[{n}]")
+    elif kind is dict:
+        members = dict.fromkeys(value, shape[str]) if str in shape else shape
+        for key, member in members.items():
+            if key not in value:
+                raise ValueError(f"{where} has no {key!r} member")
+            _check_shape(value[key], member, f"{where} {key!r}")
+        unknown = sorted(value.keys() - members.keys())
+        if unknown:
+            raise ValueError(f"{where} has an unknown member {unknown[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -153,37 +177,23 @@ class GroundTruth:
     def from_json(cls, text: str) -> "GroundTruth":
         """Read what `to_json` writes; ValueError for any other shape."""
         doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError(f"ground truth is a JSON {_json_kind(doc)}, not a JSON object")
-        for key, kind in _GROUND_TRUTH_SHAPE.items():
-            if key not in doc:
-                raise ValueError(f"ground truth has no {key!r} member")
-            if not isinstance(doc[key], kind):
-                raise ValueError(
-                    f"ground truth {key!r} is a JSON {_json_kind(doc[key])}, "
-                    f"not a JSON {_json_kind(kind())}"
+        _check_shape(doc, _GROUND_TRUTH_SHAPE, "ground truth")
+        return cls(
+            targets={
+                tid: tuple(
+                    GroundTruthEntry(
+                        e["oss"], tuple(e["versions"]),
+                        None if e["patterns"] is None else frozenset(e["patterns"]),
+                    )
+                    for e in entries
                 )
-        gt = cls()
-        gt.targets = {
-            tid: tuple(
-                GroundTruthEntry(
-                    oss_id=e["oss"],
-                    version_candidates=tuple(e["versions"]),
-                    patterns=frozenset(e["patterns"]) if e["patterns"] is not None else None,
-                )
-                for e in entries
-            )
-            for tid, entries in doc["targets"].items()
-        }
-        gt.plants = {
-            tid: tuple(_plant_from_doc(p) for p in plants) for tid, plants in doc["plants"].items()
-        }
-        gt.nested_targets = frozenset(doc["nested_targets"])
-        gt.unsegmented_fps = {
-            tid: frozenset(fps) for tid, fps in doc["unsegmented_fps"].items()
-        }
-        gt.ripple_targets = frozenset(doc["ripple_targets"])
-        return gt
+                for tid, entries in doc["targets"].items()
+            },
+            plants={tid: tuple(map(_plant_from_doc, ps)) for tid, ps in doc["plants"].items()},
+            nested_targets=frozenset(doc["nested_targets"]),
+            unsegmented_fps={tid: frozenset(fps) for tid, fps in doc["unsegmented_fps"].items()},
+            ripple_targets=frozenset(doc["ripple_targets"]),
+        )
 
 
 # ---------------------------------------------------------------------------

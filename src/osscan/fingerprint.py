@@ -1,10 +1,14 @@
-"""Function hashing, hash distance and best-match scans.
+"""Function hashing, hash distance and the best-match scan.
 
 Normalized function bodies map to a similarity digest when they are long
 enough for the locality-sensitive scheme, and to an exact SHA-256 digest
 otherwise.  Exact-scheme hashes can only ever be identical or different,
 never similar, and any cross-scheme comparison is "different" -- both
 rules are conservative against false similarity.
+
+`HashIndex` packs each distinct digest once, with its owners beside it.
+`match_hashes` is the one scan, for segmentation (an index against
+itself) and detection (the DB against a target).
 """
 
 from __future__ import annotations
@@ -136,36 +140,44 @@ _BLOCK = 128
 
 
 class HashIndex:
-    """A packed table of hash rows, each carrying an owner id (for example
-    the component it came from), for `best_matches`.
+    """Distinct digests as packed rows, sorted by digest, and the (row,
+    owner) incidences of who holds each (for example which component),
+    stored once and sorted by row and then owner: row r has incidences
+    `starts[r]` to `starts[r + 1]`.  Built without owners, each row has
+    one incidence, owned by 0, so an incidence number is a row number."""
 
-    A (owner, hash) pair is stored once and rows are sorted by digest, so
-    among the rows of one owner a smaller row number is a smaller digest.
-    """
-
-    def __init__(
-        self, hashes: Iterable[FuncHash], owners: Iterable[int] | None = None
-    ) -> None:
+    def __init__(self, hashes: Iterable[FuncHash], owners: Iterable[int] | None = None) -> None:
         hashes = list(hashes)
         digests = np.array([h.digest for h in hashes], dtype="S")
-        owner_ids = np.zeros(len(hashes), dtype=np.intp)
-        if owners is not None:
-            owner_ids[:] = list(owners)
-        order = np.lexsort((owner_ids, digests))
+        owner_ids = np.array([0] * len(hashes) if owners is None else list(owners), dtype=np.intp)
+        order = np.lexsort((owner_ids, digests))  # a digest is one hash: scheme lengths differ
         digests, owner_ids = digests[order], owner_ids[order]
-        first = np.ones(len(order), dtype=bool)  # a digest is one hash: scheme lengths differ
-        first[1:] = (digests[1:] != digests[:-1]) | (owner_ids[1:] != owner_ids[:-1])
-        self.hashes = [hashes[k] for k in order[first].tolist()]
-        self.owners = owner_ids[first]
-        self.digests = digests[first]
-        self.lsh_rows = np.array(
-            [i for i, h in enumerate(self.hashes) if h.scheme is HashScheme.LSH],
-            dtype=np.intp,
-        )
+        first = np.ones(len(order), dtype=bool)  # first of its digest
+        first[1:] = digests[1:] != digests[:-1]
+        pair = first.copy()  # first of its (digest, owner)
+        pair[1:] |= owner_ids[1:] != owner_ids[:-1]
+        self.digests, self.hashes = digests[first], [hashes[k] for k in order[first].tolist()]
+        self.rows, self.owners = np.cumsum(first)[pair] - 1, owner_ids[pair]
+        self.starts = np.searchsorted(self.rows, np.arange(len(self.hashes) + 1))
+        self.lsh_rows = np.flatnonzero([h.scheme is HashScheme.LSH for h in self.hashes])
         self.pack = tlsh.pack_digests([self.hashes[i].digest for i in self.lsh_rows])
 
     def __len__(self) -> int:
         return len(self.hashes)
+
+    def find(self, digests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(k, r): the row r of each digest `digests[k]` held here."""
+        rows = np.searchsorted(self.digests, digests)
+        k = np.flatnonzero(rows < len(self))
+        k = k[self.digests[rows[k]] == digests[k]]
+        return k, rows[k]
+
+    def incidences(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(k, e): every incidence e of each row `rows[k]`, by k and owner."""
+        counts = self.starts[rows + 1] - self.starts[rows]
+        k = np.repeat(np.arange(len(rows)), counts)
+        e = np.repeat(self.starts[rows] - (np.cumsum(counts) - counts), counts)
+        return k, e + np.arange(len(k))
 
 
 @dataclass(frozen=True)
@@ -175,18 +187,8 @@ class Matches:
 
     left: np.ndarray      # left row
     owner: np.ndarray     # right owner
-    right: np.ndarray     # best right row of that owner
+    right: np.ndarray     # right incidence of the owner's best row
     distance: np.ndarray
-
-
-def _equal_digest_pairs(left: HashIndex, right: HashIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Every (left row, right row) pair with one digest."""
-    lo = np.searchsorted(right.digests, left.digests, side="left")
-    counts = np.searchsorted(right.digests, left.digests, side="right") - lo
-    starts = np.cumsum(counts) - counts
-    i = np.repeat(np.arange(len(left)), counts)
-    j = np.repeat(lo - starts, counts) + np.arange(int(counts.sum()))
-    return i, j
 
 
 def _similar_pairs(
@@ -212,47 +214,26 @@ def _similar_pairs(
     return i, j, d
 
 
-def best_matches(
+def match_hashes(
     left: HashIndex, right: HashIndex | None = None, cutoff: int = DEFAULT_CUTOFF
 ) -> Matches:
     """For each left row and each right owner, the owner's best row.
 
     Digest equality wins first; otherwise the minimum-distance row within
     `cutoff`, ties broken by the smaller digest.  With `right` None, left
-    is matched against itself in one pass, skipping pairs of one owner.
+    is matched against itself in one pass, which scans each pair of rows
+    once; a row then matches its own owners too.
     """
-    symmetric = right is None
     other = left if right is None else right
-    ei, ej = _equal_digest_pairs(left, other)
-    si, sj, sd = _similar_pairs(left, other, symmetric, cutoff)
-    i = np.concatenate([ei, si])
-    j = np.concatenate([ej, sj])
-    d = np.concatenate([np.zeros(len(ei), dtype=np.intp), sd])
-    not_equal = np.concatenate([np.zeros(len(ei), dtype=bool), np.ones(len(si), dtype=bool)])
-    owner = other.owners[j]
-    if symmetric:
-        keep = left.owners[i] != owner
-        i, j, d, not_equal, owner = i[keep], j[keep], d[keep], not_equal[keep], owner[keep]
-    order = np.lexsort((j, d, not_equal, owner, i))
-    i, j, d, owner = i[order], j[order], d[order], owner[order]
+    ei, ej = other.find(left.digests)  # each side holds a digest once
+    si, sj, sd = _similar_pairs(left, other, right is None, cutoff)
+    k, e = other.incidences(np.concatenate([ej, sj]))
+    i = np.concatenate([ei, si])[k]
+    d = np.concatenate([np.zeros(len(ei), dtype=np.intp), sd])[k]
+    not_equal = k >= len(ei)
+    owner = other.owners[e]
+    order = np.lexsort((e, d, not_equal, owner, i))
+    i, e, d, owner = i[order], e[order], d[order], owner[order]
     first = np.ones(len(i), dtype=bool)
     first[1:] = (i[1:] != i[:-1]) | (owner[1:] != owner[:-1])
-    return Matches(left=i[first], owner=owner[first], right=j[first], distance=d[first])
-
-
-def match_hashes(
-    query: HashIndex, index: HashIndex, cutoff: int = DEFAULT_CUTOFF
-) -> dict[FuncHash, tuple[FuncHash, int]]:
-    """Pair each query hash with at most one indexed hash.
-
-    Digest equality wins first; remaining query hashes take the
-    minimum-distance similar candidate, ties broken by the smaller index
-    digest.  Result insertion order follows sorted query digests.  Both
-    indexes hold one owner's hashes (built without owner ids), so a caller
-    that queries with the same hashes many times packs them once.
-    """
-    m = best_matches(query, index, cutoff)
-    return {
-        query.hashes[i]: (index.hashes[j], d)
-        for i, j, d in zip(m.left.tolist(), m.right.tolist(), m.distance.tolist())
-    }
+    return Matches(left=i[first], owner=owner[first], right=e[first], distance=d[first])

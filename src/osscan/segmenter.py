@@ -9,6 +9,10 @@ application subset alone.  Segmentation is a single pass: members come
 from one prime check and the subtraction uses each member's full entry
 set, with every project segmented against the original, unsegmented
 signatures of the others.
+
+The pass is one `match_hashes` self-scan of `db_index` (each distinct
+digest once, owned by the signatures holding it), the index detection
+scores targets against too.
 """
 
 from __future__ import annotations
@@ -20,9 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import signature_store
-from .fingerprint import DEFAULT_CUTOFF, HashIndex, Matches, best_matches, check_cutoff
-# Unused here; kept because bench/spans.py wraps segmenter.match_hashes.
-from .fingerprint import match_hashes  # noqa: F401
+from .fingerprint import DEFAULT_CUTOFF, HashIndex, check_cutoff, match_hashes
 from .signature_store import ComponentDb, OssSignature
 
 DEFAULT_THETA = Fraction(1, 10)
@@ -59,33 +61,28 @@ class SegmentationResult:
     app_entry_hashes: frozenset[str]  # digests
 
 
-def _index(sigs: Sequence[OssSignature]) -> HashIndex:
-    """Every entry of `sigs`, owned by its signature's position."""
+def db_index(sigs: Sequence[OssSignature]) -> HashIndex:
+    """Every distinct entry digest of `sigs`, owned by the positions of
+    the signatures holding it."""
     return HashIndex(
         (h for sig in sigs for h in sig.entries),
         (k for k, sig in enumerate(sigs) for _ in sig.entries),
     )
 
 
-def _births(index: HashIndex, sigs: Sequence[OssSignature]) -> np.ndarray:
-    """Day number of each row's birth in its owner."""
-    return np.array(
-        [
-            signature_store.birth(sigs[o].entries[h], sigs[o]).toordinal()
-            for o, h in zip(index.owners.tolist(), index.hashes)
-        ],
-        dtype=np.int64,
-    )
-
-
 class _PairScores(NamedTuple):
-    left: HashIndex     # every entry, owned by its signature's position
-    matches: Matches    # best entry of each other signature per entry
-    g: np.ndarray       # (subject, other) pairs born no later in the other
+    index: HashIndex     # `db_index(sigs)`
+    # one element per (subject incidence, other signature) with a match
+    subject: np.ndarray  # incidence of the subject's entry
+    other: np.ndarray    # other signature
+    right: np.ndarray    # incidence of the other's best entry
+    distance: np.ndarray
+    g: np.ndarray        # (subject, other) pairs born no later in the other
 
 
 def _pair_scores(sigs: Sequence[OssSignature], cutoff: int) -> _PairScores:
-    """Match every entry against every other signature in one DB-wide scan
+    """Match every distinct entry against every signature in one DB-wide
+    self-scan, spread each match over the signatures holding the entry,
     and count, per (subject, other) pair, the numerator of phi: the
     subject's entries matched in the other and born no later there.
 
@@ -93,13 +90,23 @@ def _pair_scores(sigs: Sequence[OssSignature], cutoff: int) -> _PairScores:
     other-originated, which errs toward keeping the subject's application
     code clean.
     """
-    left = _index(sigs)
-    births = _births(left, sigs)
-    m = best_matches(left, None, cutoff)
-    born_no_later = births[m.right] <= births[m.left]
-    pair = left.owners[m.left] * len(sigs) + m.owner
+    index = db_index(sigs)
+    births = np.array(
+        [
+            signature_store.birth(sigs[o].entries[index.hashes[r]], sigs[o]).toordinal()
+            for r, o in zip(index.rows.tolist(), index.owners.tolist())
+        ],
+        dtype=np.int64,
+    )
+    m = match_hashes(index, None, cutoff)
+    k, subject = index.incidences(m.left)
+    other, right, distance = m.owner[k], m.right[k], m.distance[k]
+    keep = index.owners[subject] != other
+    subject, other, right, distance = subject[keep], other[keep], right[keep], distance[keep]
+    born_no_later = births[right] <= births[subject]
+    pair = index.owners[subject] * len(sigs) + other
     g = np.bincount(pair[born_no_later], minlength=len(sigs) * len(sigs))
-    return _PairScores(left, m, g.reshape(len(sigs), len(sigs)))
+    return _PairScores(index, subject, other, right, distance, g.reshape(len(sigs), len(sigs)))
 
 
 def segment_all(
@@ -108,7 +115,7 @@ def segment_all(
     cutoff: int = DEFAULT_CUTOFF,
 ) -> dict[str, SegmentationResult]:
     """Segment every signature against the unsegmented originals, in one
-    DB-wide matching pass that scans each pair of entries once.
+    DB-wide matching pass that scans each pair of distinct digests once.
 
     Members of a signature are the others whose phi reaches theta; its
     application code is every entry minus those matched to any member.
@@ -116,16 +123,16 @@ def segment_all(
     theta = check_theta(theta)
     check_cutoff(cutoff)
     sigs = db.sorted_signatures()
-    left, m, g = _pair_scores(sigs, cutoff)
+    index, subject, other, _, _, g = _pair_scores(sigs, cutoff)
     member = np.zeros(g.shape, dtype=bool)
     for k, x in zip(*np.nonzero(g)):
         member[k, x] = Fraction(int(g[k, x]), len(sigs[x].entries)) >= theta
-    removed = np.zeros(len(left), dtype=bool)
-    removed[m.left[member[left.owners[m.left], m.owner]]] = True
+    removed = np.zeros(len(index.rows), dtype=bool)
+    removed[subject[member[index.owners[subject], other]]] = True
     app: list[list[str]] = [[] for _ in sigs]
-    for owner, h, gone in zip(left.owners.tolist(), left.hashes, removed.tolist()):
+    for r, owner, gone in zip(index.rows.tolist(), index.owners.tolist(), removed.tolist()):
         if not gone:
-            app[owner].append(h.digest)
+            app[owner].append(index.hashes[r].digest)
     return {
         s.oss_id: SegmentationResult(
             oss_id=s.oss_id,

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from osscan import detector, evalkit, segmenter, signature_store
+from osscan.fingerprint import FuncHash, HashIndex, match_hashes
 from osscan.signature_store import ComponentDb
 
 
@@ -90,15 +91,33 @@ def all_prime(db: ComponentDb) -> ComponentDb:
     )
 
 
+def match_dict(
+    left: HashIndex, right: HashIndex, cutoff: int
+) -> dict[FuncHash, tuple[FuncHash, int]]:
+    """`match_hashes` of two indexes built without owners, read as
+    {left hash: (best right hash, distance)} in sorted left-digest order."""
+    assert len(right.rows) == len(right), "right has a row with more than one owner"
+    m = match_hashes(left, right, cutoff)
+    return {
+        left.hashes[i]: (right.hashes[right.rows[e]], d)
+        for i, e, d in zip(m.left.tolist(), m.right.tolist(), m.distance.tolist())
+    }
+
+
 def pair_matches(sigs: list[signature_store.OssSignature], cutoff: int):
     """One DB-wide `segmenter._pair_scores` scan, read per ordered pair:
     {(k, x): {(entry of k, best entry of x, distance)}} over positions
     in `sigs`, and the phi numerators g[k, x]."""
-    left, m, g = segmenter._pair_scores(sigs, cutoff)
+    scores = segmenter._pair_scores(sigs, cutoff)
+    index = scores.index
     pairs: dict[tuple[int, int], set] = defaultdict(set)
-    for i, x, j, d in zip(*(a.tolist() for a in (m.left, m.owner, m.right, m.distance))):
-        pairs[int(left.owners[i]), x].add((left.hashes[i], left.hashes[j], d))
-    return pairs, g
+    for s, x, e, d in zip(
+        *(a.tolist() for a in (scores.subject, scores.other, scores.right, scores.distance))
+    ):
+        pairs[int(index.owners[s]), x].add(
+            (index.hashes[index.rows[s]], index.hashes[index.rows[e]], d)
+        )
+    return pairs, scores.g
 
 
 @pytest.fixture(scope="session")

@@ -56,12 +56,15 @@ def test_traced_pipeline_finds_every_wrap_point(tmp_path, monkeypatch, capsys):
     tracer = spans.Tracer()
     with tracer.installed():
         assert cli.main(["preprocess", "--corpus", str(bundle.corpus_dir), "--db", str(db_dir)]) == 0
-        assert cli.main(["segment", "--db", str(db_dir)]) == 0
+        # stage spans with the benchmark's groups, which segmenter.pair_scans reads
+        with tracer.span("stage.segment", "segment"):
+            assert cli.main(["segment", "--db", str(db_dir)]) == 0
         db = signature_store.load_db(db_dir)
         cfg = detector.DetectorConfig(cutoff=db.meta.cutoff)
         for tid, tree in targets:
-            t = detector.fingerprint_target(tree, target_id=tid)
-            detector.render_report(detector.identify_components(t, db, cfg), "json", tid, cfg)
+            with tracer.span("stage.detect", f"target:{tid}"):
+                t = detector.fingerprint_target(tree, target_id=tid)
+                detector.render_report(detector.identify_components(t, db, cfg), "json", tid, cfg)
     assert tracer.missing == []
     values, absent = spans.layer_metrics(tracer)
     assert absent == []
@@ -77,8 +80,10 @@ def test_traced_pipeline_finds_every_wrap_point(tmp_path, monkeypatch, capsys):
         "fingerprint.lsh_hashes",
         "detector.signatures_scored",
         "segmenter.app_entries",
+        "segmenter.pair_scans",
     ):
         assert count[name] > 0, name
+    assert count["segmenter.pair_scans"] == 1  # one self-scan per segmentation
     assert count["extractor.files"] == want["files"]
     assert count["extractor.functions"] == want["functions"]
     assert count["extractor.normalize_calls"] == want["normalize"]

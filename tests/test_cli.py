@@ -279,7 +279,16 @@ def test_segment_rejects_zero_denominator_theta(workspace, capsys):
     assert _tree_bytes(root / "db") == before
 
 
-@pytest.mark.parametrize("text", ["[]", '{"targets": []}'], ids=["array", "targets-array"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        '{"targets": []}',
+        '{"targets": {"t": [1]}, "plants": {}, "nested_targets": [], "unsegmented_fps": {},'
+        ' "ripple_targets": []}',
+    ],
+    ids=["array", "targets-array", "target-entry-number"],
+)
 def test_theta_sweep_reports_ground_truth_of_wrong_shape(workspace, tmp_path, capsys, text):
     root = workspace["root"]
     truth = tmp_path / "truth.json"

@@ -20,10 +20,17 @@ from osscan.detector import (
     render_report,
     score_components,
 )
-from osscan.fingerprint import HashIndex, match_hashes
+from osscan.fingerprint import HashIndex
 from osscan.signature_store import ComponentDb
 
-from conftest import all_prime, build_sig_from_specs, c_function, fingerprint_files, source_file
+from conftest import (
+    all_prime,
+    build_sig_from_specs,
+    c_function,
+    fingerprint_files,
+    match_dict,
+    source_file,
+)
 
 
 def _segmented(db: ComponentDb) -> ComponentDb:
@@ -456,7 +463,7 @@ def _reference_evidence(t, sig, version_id, index, cutoff):
     """Evidence from a per-signature `match_hashes` call over the version."""
     ordinal = sig.version_by_id(version_id).ordinal
     entries = [e for e in sig.entries.values() if ordinal in e.versions]
-    paired = match_hashes(HashIndex(e.hash for e in entries), index, cutoff)
+    paired = match_dict(HashIndex(e.hash for e in entries), index, cutoff)
     return [
         MatchEvidence(
             digest=e.hash.digest,
@@ -493,7 +500,7 @@ def test_single_scan_equals_per_signature_reference(nested_db):
     scored = {s.sig.oss_id: s for s in score_components(t, db, cfg.cutoff)}
     assert sorted(scored) == sorted(db.signatures)
     for oss_id, sig in db.signatures.items():
-        matched = match_hashes(HashIndex(sig.app_entries), index, cfg.cutoff)
+        matched = match_dict(HashIndex(sig.app_entries), index, cfg.cutoff)
         assert scored[oss_id].matched == matched
         assert list(scored[oss_id].matched) == list(matched)
         assert scored[oss_id].phi == Fraction(len(matched), len(sig.app_entries))

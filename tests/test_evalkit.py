@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -181,6 +182,73 @@ def test_ground_truth_of_wrong_shape_is_a_value_error(text, shape):
     with pytest.raises(ValueError) as excinfo:
         GroundTruth.from_json(text)
     assert str(excinfo.value) == shape
+
+
+_EMPTY_TRUTH = {
+    "targets": {}, "plants": {}, "nested_targets": [], "unsegmented_fps": {}, "ripple_targets": [],
+}
+_PLANT_DOC = {
+    "oss": "a", "mode": "EXACT", "source_version": "v1", "keep_ratio": 1.0, "mutation_rate": 0.0,
+    "relocation": None, "depth": 1, "mix_adjacent": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "member, value, error",
+    [
+        ("targets", {"t": [1]}, "ground truth 'targets' 't'[0] is a JSON number, not a JSON object"),
+        (
+            "targets",
+            {"t": [{"oss": "a", "versions": "v1", "patterns": None}]},
+            "ground truth 'targets' 't'[0] 'versions' is a JSON string, not a JSON array",
+        ),
+        (
+            "targets",
+            {"t": [{"oss": "a", "versions": [], "patterns": ["E", 2]}]},
+            "ground truth 'targets' 't'[0] 'patterns'[1] is a JSON number, not a JSON string",
+        ),
+        (
+            "plants",
+            {"t": [{k: v for k, v in _PLANT_DOC.items() if k != "relocation"}]},
+            "ground truth 'plants' 't'[0] has no 'relocation' member",
+        ),
+        (
+            "plants",
+            {"t": [dict(_PLANT_DOC, stray=1)]},
+            "ground truth 'plants' 't'[0] has an unknown member 'stray'",
+        ),
+        (
+            "plants",
+            {"t": [dict(_PLANT_DOC, keep_ratio=True)]},
+            "ground truth 'plants' 't'[0] 'keep_ratio' is a JSON boolean, not a JSON number",
+        ),
+        (
+            "plants",
+            {"t": [dict(_PLANT_DOC, relocation=[["a.c", 7]])]},
+            "ground truth 'plants' 't'[0] 'relocation'[0][1] is a JSON number, not a JSON string",
+        ),
+        ("unsegmented_fps", {"t": 5}, "ground truth 'unsegmented_fps' 't' is a JSON number, not a JSON array"),
+        ("nested_targets", [1], "ground truth 'nested_targets'[0] is a JSON number, not a JSON string"),
+        ("ripple_targets", [None], "ground truth 'ripple_targets'[0] is a JSON null, not a JSON string"),
+    ],
+    ids=[
+        "target-entry-number", "versions-string", "pattern-number", "plant-no-relocation",
+        "plant-unknown-member", "keep-ratio-bool", "relocation-number", "fps-number",
+        "nested-number", "ripple-null",
+    ],
+)
+def test_ground_truth_member_contents_are_checked(member, value, error):
+    with pytest.raises(ValueError) as excinfo:
+        GroundTruth.from_json(json.dumps(dict(_EMPTY_TRUTH, **{member: value})))
+    assert str(excinfo.value) == error
+
+
+def test_ground_truth_takes_integer_ratios_and_null_patterns():
+    plant = dict(_PLANT_DOC, keep_ratio=1, relocation=[["a.c", "b.c"]])
+    entry = {"oss": "a", "versions": ["v1"], "patterns": None}
+    gt = GroundTruth.from_json(json.dumps(dict(_EMPTY_TRUTH, plants={"t": [plant]}, targets={"t": [entry]})))
+    assert gt.plants["t"][0].relocation == (("a.c", "b.c"),)
+    assert gt.targets["t"][0].patterns is None
 
 
 def test_manifest_roundtrip(tmp_path: Path):

@@ -13,13 +13,13 @@ from osscan.fingerprint import (
     FuncHash,
     HashIndex,
     HashScheme,
-    best_matches,
     distance,
     hash_function,
     match_hashes,
 )
 
 import tlsh_oracle as oracle
+from conftest import match_dict
 from test_tlsh import FIXTURE_BODY, FIXTURE_RENAMED, PINNED_RENAME_DISTANCE
 
 
@@ -195,8 +195,36 @@ def _rows_within(query: FuncHash, hashes: list[FuncHash], cutoff: int) -> set:
     """Every indexed row within cutoff of `query`: with one owner per row,
     the best match of each owner is that owner's only row."""
     index = HashIndex(hashes, owners=range(len(hashes)))
-    m = best_matches(HashIndex([query]), index, cutoff)
-    return {(index.hashes[j], d) for j, d in zip(m.right.tolist(), m.distance.tolist())}
+    m = match_hashes(HashIndex([query]), index, cutoff)
+    return {(index.hashes[index.rows[e]], d) for e, d in zip(m.right.tolist(), m.distance.tolist())}
+
+
+def test_index_row_is_one_digest_with_its_owners():
+    shared, other = _lsh_hash("owned", 300), hash_function(b"tiny")
+    index = HashIndex([shared, other, shared, shared, other, shared], owners=[7, 2, 3, 7, 2, 5])
+    assert len(index) == 2
+    row = index.hashes.index(shared)
+    assert index.hashes == sorted([shared, other], key=lambda h: h.digest)
+    assert index.owners[index.starts[row] : index.starts[row + 1]].tolist() == [3, 5, 7]
+    k, e = index.incidences(np.array([row, 1 - row, row]))
+    assert k.tolist() == [0, 0, 0, 1, 2, 2, 2]
+    assert index.rows[e].tolist() == [row] * 3 + [1 - row] + [row] * 3
+    assert index.owners[e].tolist() == [3, 5, 7, 2, 3, 5, 7]
+    plain = HashIndex([shared, other, shared])
+    assert plain.rows.tolist() == [0, 1] and plain.owners.tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("size", [0, 1])
+def test_scan_of_empty_or_one_row_index(size: int):
+    index = HashIndex([_lsh_hash("alone", 300)][:size])
+    empty = HashIndex([])
+    for left, right in ((empty, index), (index, empty)):
+        m = match_hashes(left, right)
+        assert len(m.left) == len(m.owner) == len(m.right) == len(m.distance) == 0
+    m = match_hashes(index, None)
+    assert (m.left.tolist(), m.owner.tolist(), m.right.tolist(), m.distance.tolist()) == (
+        [0] * size, [0] * size, [0] * size, [0] * size
+    )
 
 
 def test_index_exact_lookup():
@@ -204,8 +232,8 @@ def test_index_exact_lookup():
     index = HashIndex(hashes)
     assert len(index) == 6
     # a negative cutoff leaves digest equality as the only way to match
-    assert match_hashes(HashIndex(hashes), index, cutoff=-1) == {h: (h, 0) for h in hashes}
-    assert match_hashes(HashIndex([_lsh_hash("absent")]), index, cutoff=-1) == {}
+    assert match_dict(HashIndex(hashes), index, cutoff=-1) == {h: (h, 0) for h in hashes}
+    assert match_dict(HashIndex([_lsh_hash("absent")]), index, cutoff=-1) == {}
 
 
 def test_index_scan_matches_bruteforce():
@@ -230,14 +258,14 @@ def test_match_finds_pairs_whose_quartile_bytes_differ_at_any_index_size():
         for row in rng.integers(0, 256, size=(100_001, 35), dtype=np.uint8)
     ]
     index = HashIndex(noise + [near])
-    assert match_hashes(HashIndex([base]), index, cutoff=DEFAULT_CUTOFF) == {base: (near, 12)}
+    assert match_dict(HashIndex([base]), index, cutoff=DEFAULT_CUTOFF) == {base: (near, 12)}
 
 
 def test_single_row_index_finds_near_row():
     base = _lsh_hash("bucket", 300)
     near = FuncHash(HashScheme.LSH, _flip_code_dibit(base.digest, 3, 1))
     assert (near, 1) in _rows_within(base, [near], cutoff=5)
-    assert match_hashes(HashIndex([base]), HashIndex([near]), cutoff=5) == {base: (near, 1)}
+    assert match_dict(HashIndex([base]), HashIndex([near]), cutoff=5) == {base: (near, 1)}
 
 
 def test_scan_returns_every_row_within_cutoff():
@@ -267,7 +295,7 @@ def test_match_exact_takes_precedence():
     shared = _lsh_hash("shared", 300)
     near = FuncHash(HashScheme.LSH, _flip_code_dibit(shared.digest, 0, 0))
     index = HashIndex([shared, near])
-    matched = match_hashes(HashIndex([shared]), index, cutoff=30)
+    matched = match_dict(HashIndex([shared]), index, cutoff=30)
     assert matched[shared] == (shared, 0)
 
 
@@ -279,7 +307,7 @@ def test_match_prefers_minimum_distance_then_digest():
         HashScheme.LSH, _flip_code_dibit(_flip_code_dibit(base.digest, 1, 1), 2, 2)
     )
     index = HashIndex([two, far, one])
-    matched = match_hashes(HashIndex([base]), index, cutoff=30)
+    matched = match_dict(HashIndex([base]), index, cutoff=30)
     winner, d = matched[base]
     assert d == 1
     assert winner == min([one, two], key=lambda h: h.digest)
@@ -288,12 +316,12 @@ def test_match_prefers_minimum_distance_then_digest():
 def test_match_unmatched_left_absent():
     index = HashIndex([_lsh_hash("only", 300)])
     lone = hash_function(b"tiny")
-    assert match_hashes(HashIndex([lone]), index, cutoff=30) == {}
+    assert match_dict(HashIndex([lone]), index, cutoff=30) == {}
 
 
 def test_match_insertion_order_sorted_by_digest():
     index_hashes = [_lsh_hash(f"d{i}", 200) for i in range(6)]
     index = HashIndex(index_hashes)
-    matched = match_hashes(HashIndex(reversed(index_hashes)), index, cutoff=30)
+    matched = match_dict(HashIndex(reversed(index_hashes)), index, cutoff=30)
     digests = [h.digest for h in matched]
     assert digests == sorted(digests)

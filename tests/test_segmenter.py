@@ -6,14 +6,15 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from osscan import segmenter, signature_store
-from osscan.fingerprint import DEFAULT_CUTOFF, FuncHash, HashIndex, HashScheme, match_hashes
+from osscan.fingerprint import DEFAULT_CUTOFF, FuncHash, HashIndex, HashScheme
 from osscan.segmenter import check_theta, coerce_theta, segment_all
 from osscan.signature_store import ComponentDb
 
-from conftest import build_sig_from_specs, pair_matches, write_tree
+from conftest import build_sig_from_specs, match_dict, pair_matches, write_tree
 from oracles import brute_pair
 from tlsh_oracle import reference_distance
 
@@ -304,7 +305,7 @@ def _per_pair_reference(db: ComponentDb, theta: Fraction, cutoff: int) -> dict:
         for x in db.sorted_signatures():
             if x.oss_id == s.oss_id:
                 continue
-            matched = match_hashes(HashIndex(s.entries), HashIndex(x.entries), cutoff)
+            matched = match_dict(HashIndex(s.entries), HashIndex(x.entries), cutoff)
             assert matched == brute_pair(set(s.entries), set(x.entries), cutoff)
             g = sum(
                 1
@@ -334,6 +335,12 @@ def test_db_wide_pass_equals_per_pair_reference(seed: int):
             for k in range(6)
         }
     )
+    # the pool's collisions reach the DB: a digest held by 3 signatures
+    # and a digest whose length-byte twin is held too
+    index = segmenter.db_index(db.sorted_signatures())
+    assert np.diff(index.starts).max() >= 3
+    codes = [d[:2] + d[4:] for d in index.digests.tolist()]
+    assert len(set(codes)) < len(codes)
     with pytest.raises(ValueError, match="cutoff"):
         segment_all(db, cutoff=-1)
     for theta, cutoff in ((Fraction(1, 10), 30), (Fraction(1, 4), 0)):
